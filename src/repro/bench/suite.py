@@ -14,6 +14,7 @@ report still *shows* timing without the baseline gating on it.
 
 from __future__ import annotations
 
+import statistics
 import tempfile
 import time
 import zlib
@@ -189,14 +190,17 @@ def _bench_obs_overhead(harness: ExperimentHarness) -> dict[str, Metric]:
     disabled: list[float] = []
     enabled: list[float] = []
     try:
-        for _ in range(5):
+        for _ in range(11):
             obs.disable()
             disabled.append(run_once())
             obs.enable(metrics=True, tracing=True, exemplars=True)
             enabled.append(run_once())
     finally:
         obs.disable()
-    ratio = min(enabled) / min(disabled)
+    # Median of the paired per-pass ratios: each leg times only a few
+    # milliseconds, and on a shared host a min-over-passes ratio swings
+    # with whichever leg happened to catch a fast scheduling window.
+    ratio = statistics.median(e / d for e, d in zip(enabled, disabled))
     return {
         # Noise-tolerant band: the committed baseline stores ~1.0x and CI
         # machines may jitter; the separate bench_obs_overhead.py pytest
@@ -479,7 +483,7 @@ def _bench_shared_arena(harness: ExperimentHarness) -> dict[str, Metric]:
     activities = [user.observed for user in harness.split]
     start = time.perf_counter()
     engine = direct.csr_engine()
-    assert engine is not None, "smoke harness always has SciPy + rows"
+    assert engine is not None, "the smoke harness model is never empty"
     arena = SharedModelArena(engine.export_arrays())
     metrics: dict[str, Metric] = {
         "packed_arrays": Metric(float(len(arena.keys()))),

@@ -138,7 +138,7 @@ class PrunedBreadthStrategy(RankingStrategy):
     :class:`~repro.core.caching.CachedModelView` does), ranking delegates
     to :meth:`~repro.core.vectorized.BatchRecommender.pruned_breadth_rank`;
     otherwise a scalar fallback computes the identical truncated sum, so
-    results do not depend on SciPy availability.
+    results do not depend on the model view.
 
     Args:
         budget: per-action posting-list cap (default 128 — at the paper's

@@ -298,15 +298,15 @@ class CachedModelView:
         return self._model
 
     def csr_engine(self) -> Any:
-        """The generation's shared CSR engine, or ``None`` without SciPy.
+        """The generation's shared CSR engine (``None`` for an empty model).
 
         Built lazily on first use and reused for the view's lifetime — the
         view is generation-scoped, so the engine's precomputed matrices are
         exactly as fresh as every other cache keyed on this generation.
         Both the single-request hot path (``GoalRecommender``) and the
         batch endpoint (``ModelSnapshot.batch``) share this one instance.
-        Returns ``None`` when SciPy is unavailable or the model is empty;
-        callers fall back to the scalar strategies.
+        Returns ``None`` when the model is empty; callers fall back to the
+        scalar strategies.
 
         An ``engine_factory`` supplied at construction replaces the direct
         build — multi-worker serving uses it to hand every worker an
@@ -319,12 +319,9 @@ class CachedModelView:
                 if self._engine_factory is not None:
                     self._engine = self._engine_factory()
                 elif self._model.num_implementations > 0:
-                    try:
-                        from repro.core.vectorized import BatchRecommender
-                    except ImportError:
-                        self._engine = None
-                    else:
-                        self._engine = BatchRecommender(self._model)
+                    from repro.core.vectorized import BatchRecommender
+
+                    self._engine = BatchRecommender(self._model)
             return self._engine
 
     @property

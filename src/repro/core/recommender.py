@@ -108,8 +108,8 @@ class GoalRecommender:
             (:meth:`~repro.core.caching.CachedModelView.csr_engine` — the
             serving layer's views do); bare models stay on the scalar
             reference strategies.  ``True`` additionally builds a private
-            engine over a bare :class:`AssociationGoalModel` (falling back
-            to scalar without SciPy); ``False`` never routes CSR — the
+            engine over a bare :class:`AssociationGoalModel` (an empty
+            model stays scalar); ``False`` never routes CSR — the
             escape hatch the parity suite uses for its reference rankings.
             Both paths are bit-identical (scores, order, ties), so the
             setting is about performance, never results.
@@ -176,12 +176,9 @@ class GoalRecommender:
                 isinstance(target, AssociationGoalModel)
                 and target.num_implementations > 0
             ):
-                try:
-                    from repro.core.vectorized import BatchRecommender
-                except ImportError:
-                    self._own_engine = None
-                else:
-                    self._own_engine = BatchRecommender(target)
+                from repro.core.vectorized import BatchRecommender
+
+                self._own_engine = BatchRecommender(target)
         return self._own_engine
 
     def _runner(
@@ -314,11 +311,11 @@ class GoalRecommender:
 
         Emits a ``recommend`` span carrying the strategy name, and records
         the per-strategy latency histogram and request counter.  The space
-        sizes |IS(H)|, |GS(H)|, |AS(H)| cost three extra index queries —
-        far more than the span machinery itself — so they are computed only
-        when *trace detail* is enabled on top of tracing
+        sizes |IS(H)|, |GS(H)|, |AS(H)|, |AS(H)−H| are computed only when
+        *trace detail* is enabled on top of tracing
         (``obs.enable(trace_detail=True)``); the ≤10% enabled-path overhead
         budget of ``benchmarks/bench_obs_overhead.py`` holds without them.
+        See :meth:`_space_sizes` for what they cost on each path.
         """
         with obs.trace_span("recommend", strategy=chosen.name, k=k) as span:
             start = perf_counter()
@@ -354,16 +351,41 @@ class GoalRecommender:
                     returned=len(result.items),
                 )
                 if obs.trace_detail_enabled():
-                    model = rank_model
-                    impl_space = model.implementation_space(encoded)
-                    action_space = model.action_space(encoded)
+                    is_size, gs_size, as_size, candidates = (
+                        self._space_sizes(rank_model, encoded)
+                    )
                     span.set_attrs(
-                        is_size=len(impl_space),
-                        gs_size=len(model.goal_space(encoded)),
-                        as_size=len(action_space),
-                        candidates=len(action_space - encoded),
+                        is_size=is_size,
+                        gs_size=gs_size,
+                        as_size=as_size,
+                        candidates=candidates,
                     )
         return result
+
+    def _space_sizes(
+        self, model: ModelView, encoded: frozenset[int]
+    ) -> tuple[int, int, int, int]:
+        """``(|IS(H)|, |GS(H)|, |AS(H)|, |AS(H)−H|)`` for the trace detail.
+
+        With a CSR engine (the serving path, where the four paper
+        strategies and the pruned tier rank) the sizes come from one
+        engine call (:meth:`~repro.core.vectorized.BatchRecommender.space_sizes`,
+        about 0.2 ms at dense scale) and no space query runs.  Without
+        one (``use_csr=False``, bare models) the scalar space queries
+        answer, emitting their stage spans.  Both give the same numbers.
+        """
+        engine = self.csr_engine()
+        if engine is not None:
+            sizes: tuple[int, int, int, int] = engine.space_sizes(encoded)
+            return sizes
+        impl_space = model.implementation_space(encoded)
+        action_space = model.action_space(encoded)
+        return (
+            len(impl_space),
+            len(model.goal_space(encoded)),
+            len(action_space),
+            len(action_space - encoded),
+        )
 
     def recommend_all(
         self,

@@ -580,6 +580,38 @@ class BatchRecommender:
             scores[degenerate] = -1.0
         return candidates, scores
 
+    def space_sizes(
+        self, activity: frozenset[int]
+    ) -> tuple[int, int, int, int]:
+        """``(|IS(H)|, |GS(H)|, |AS(H)|, |AS(H) − H|)`` from the engine arrays.
+
+        The sizes the scalar space queries (Eq. 1-2) would report, computed
+        with boolean masks instead of Python sets: ``IS`` marks the
+        activity's posting lists, ``GS`` the goals of those
+        implementations, and ``AS`` the union of the activity's
+        co-occurrence rows — exact because ``S = MᵀM`` has ``S[b, c] > 0``
+        iff some implementation contains both ``b`` and ``c`` (the diagonal
+        keeps ``H``'s own co-occurring actions in ``AS``, as the scalar
+        query does).
+        """
+        if not activity:
+            return 0, 0, 0, 0
+        impl_mask = np.zeros(self.model.num_implementations, dtype=bool)
+        impl_mask[np.concatenate([self._post_rows[a] for a in activity])] = True
+        goal_mask = np.zeros(self.model.num_goals, dtype=bool)
+        goal_mask[self._goal_of_impl[impl_mask]] = True
+        col_rows, _ = self._cooccurrence()
+        action_mask = np.zeros(self.model.num_actions, dtype=bool)
+        action_mask[np.concatenate([col_rows[a] for a in activity])] = True
+        as_size = int(np.count_nonzero(action_mask))
+        in_h = int(np.count_nonzero(action_mask[self._activity_array(activity)]))
+        return (
+            int(np.count_nonzero(impl_mask)),
+            int(np.count_nonzero(goal_mask)),
+            as_size,
+            as_size - in_h,
+        )
+
     def best_match_distances(self, activity: frozenset[int]) -> dict[int, float]:
         """Cosine distances of every candidate to the goal-space profile."""
         candidates, scores = self._best_match_scores(activity)

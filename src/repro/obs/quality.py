@@ -596,16 +596,24 @@ class QualityMonitor:
         return handles
 
     def _observe_spaces(self, model: "ModelView", activity: frozenset[int]) -> None:
-        """Record |IS|/|GS|/|AS| for one deterministically sampled request."""
+        """Record |IS|/|GS|/|AS| for one deterministically sampled request.
+
+        A model view with a CSR engine answers from one engine call
+        (:meth:`~repro.core.vectorized.BatchRecommender.space_sizes`); a
+        bare model runs the scalar space queries.
+        """
         if not runtime.metrics_enabled():
             return
         registry = obs_metrics.get_registry()
-        sizes = (
-            ("is", len(model.implementation_space(activity))),
-            ("gs", len(model.goal_space(activity))),
-            ("as", len(model.action_space(activity))),
-        )
-        for space, size in sizes:
+        engine_factory = getattr(model, "csr_engine", None)
+        engine = engine_factory() if engine_factory is not None else None
+        if engine is not None:
+            is_size, gs_size, as_size, _ = engine.space_sizes(activity)
+        else:
+            is_size = len(model.implementation_space(activity))
+            gs_size = len(model.goal_space(activity))
+            as_size = len(model.action_space(activity))
+        for space, size in (("is", is_size), ("gs", gs_size), ("as", as_size)):
             registry.histogram(
                 "repro_quality_space_size_items",
                 "Inferred space sizes |IS(H)|, |GS(H)|, |AS(H)| for sampled "

@@ -138,7 +138,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (optional dep)
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
     from repro.core.vectorized import BatchRecommender
 
 from repro import obs
@@ -267,8 +267,7 @@ class ModelSnapshot:
         """The CSR :class:`BatchRecommender` for this generation.
 
         Built on first use and reused for every later batch request of the
-        same generation; returns ``None`` when the model is empty or the
-        vectorized engine's dependencies (NumPy/SciPy) are unavailable.
+        same generation; returns ``None`` when the model is empty.
         The engine is shared with the single-request hot path: when the
         recommender's model view exposes ``csr_engine()`` (the serving
         layer's :class:`~repro.core.caching.CachedModelView` does), both
@@ -283,10 +282,8 @@ class ModelSnapshot:
                 return engine
         with self._batch_lock:
             if self._batch is None:
-                try:
-                    from repro.core.vectorized import BatchRecommender
-                except ImportError:
-                    return None
+                from repro.core.vectorized import BatchRecommender
+
                 self._batch = BatchRecommender(self.frozen)
             return self._batch
 
@@ -904,8 +901,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 self.service._record_slow(
                     self._request_id, endpoint, method, self._status,
-                    elapsed, [root.to_dict()] if root is not None else [],
-                    trace_id=self._trace_id,
+                    elapsed, root, trace_id=self._trace_id,
                 )
                 self.service._record_telemetry(
                     self._request_id, endpoint, method, self._status,
@@ -1314,17 +1310,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         snap = self.service.manager.snapshot()
         start = time.perf_counter()
-        if snap.frozen is None:
+        batch = snap.batch()
+        if batch is None:
             results: list[list[dict]] = [[] for _ in activities]
         else:
-            batch = snap.batch()
-            if batch is None:
-                self._send_error(
-                    501,
-                    "batch scoring unavailable",
-                    detail="the vectorized engine requires numpy and scipy",
-                )
-                return
             deadline = active_deadline()
             checkpoint = None
             if deadline is not None:
@@ -1535,6 +1524,17 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+class _AdoptedListenerServer(ThreadingHTTPServer):
+    """A server over a shared non-blocking listener (see ``_build_server``)."""
+
+    def get_request(self) -> tuple[socket.socket, Any]:
+        conn, addr = self.socket.accept()
+        # Some platforms hand out accepted sockets that inherit the
+        # listener's O_NONBLOCK; the handlers expect blocking reads.
+        conn.setblocking(True)
+        return conn, addr
+
+
 def _build_server(
     host: str,
     port: int,
@@ -1551,11 +1551,16 @@ def _build_server(
       platform lacks the option — the supervisor falls back to an
       inherited listener);
     - ``listen_socket``: adopt an already-bound, already-listening socket
-      (the pre-fork parent's), skipping bind/listen entirely.
+      (the pre-fork parent's), skipping bind/listen entirely.  Every
+      worker sharing it wakes for each connection, so it is switched to
+      non-blocking: the losers of the accept race get ``BlockingIOError``
+      (an ``OSError``, which ``socketserver`` ignores) instead of parking
+      in ``accept()`` where ``shutdown()`` cannot reach them.
     """
     if listen_socket is not None:
-        server = ThreadingHTTPServer((host, port), handler,
-                                     bind_and_activate=False)
+        listen_socket.setblocking(False)
+        server = _AdoptedListenerServer((host, port), handler,
+                                        bind_and_activate=False)
         server.socket.close()
         server.socket = listen_socket
         bound_host, bound_port = listen_socket.getsockname()[:2]
@@ -1970,12 +1975,17 @@ class RecommenderService:
         method: str,
         status: int,
         elapsed: float,
-        spans: list[dict[str, object]],
+        root: "obs.Span | None",
         trace_id: str | None = None,
     ) -> None:
-        """Log and count one request if it crossed the slow threshold."""
+        """Log and count one request if it crossed the slow threshold.
+
+        The span tree is serialized only past the threshold check, so
+        fast requests never pay for ``to_dict()``'s walk of the tree.
+        """
         if elapsed < self.slow_log.threshold_seconds:
             return
+        spans = [root.to_dict()] if root is not None else []
         self.slow_log.offer(
             request_id, endpoint, method, status, elapsed, spans,
             trace_id=trace_id,

@@ -673,18 +673,15 @@ def _build_parent_listener(host: str, port: int) -> socket.socket:
 def _build_arena(
     frozen: AssociationGoalModel,
 ) -> tuple[SharedModelArena | None, AssociationGoalModel | None]:
-    """Pack the frozen model's CSR engine into shared memory (best effort).
+    """Pack the frozen model's CSR engine into shared memory.
 
-    Returns ``(None, None)`` when the vectorized engine is unavailable
-    (NumPy/SciPy missing) — workers then build their own engines and
-    multi-worker mode still functions, just without the shared pages.
+    Returns ``(None, None)`` for an empty model — there is no engine to
+    share, and workers build their own once implementations arrive.
     """
     if frozen.num_implementations == 0:
         return None, None
-    try:
-        from repro.core.vectorized import BatchRecommender
-    except ImportError:
-        return None, None
+    from repro.core.vectorized import BatchRecommender
+
     engine = BatchRecommender(frozen)
     arena = SharedModelArena(engine.export_arrays())
     return arena, frozen

@@ -170,8 +170,6 @@ class TestPrunedEngineParity:
     @pytest.mark.parametrize("budget", (1, 2, 5, 10_000))
     def test_engine_matches_scalar_fallback(self, foodmart_model, budget):
         view = CachedModelView(foodmart_model)
-        if view.csr_engine() is None:
-            pytest.skip("SciPy unavailable")
         strategy = PrunedBreadthStrategy(budget=budget)
         labels = sorted(foodmart_model.action_labels())
         for raw in (labels[:3], labels[5:9], labels[:1]):

@@ -273,8 +273,7 @@ class TestCachedViewCsrEngine:
     def test_engine_memoized(self, figure1_model):
         view = CachedModelView(figure1_model)
         engine = view.csr_engine()
-        if engine is None:
-            pytest.skip("SciPy unavailable")
+        assert engine is not None
         assert view.csr_engine() is engine
 
     def test_recommender_over_view_auto_routes_with_parity(
@@ -282,8 +281,7 @@ class TestCachedViewCsrEngine:
     ):
         view = CachedModelView(figure1_model)
         routed = GoalRecommender(view)
-        if routed.csr_engine() is None:
-            pytest.skip("SciPy unavailable")
+        assert routed.csr_engine() is not None
         scalar = GoalRecommender(figure1_model, use_csr=False)
         for strategy in ("breadth", "focus_cmp", "focus_cl", "best_match"):
             for raw in ({"a1"}, {"a1", "a2"}, {"a6"}, set()):

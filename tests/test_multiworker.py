@@ -11,17 +11,21 @@ is its own process tree):
   same order while request traffic keeps flowing, and the pool converges
   to one (generation, implementations) pair;
 - **SIGTERM drains all workers** — the parent fans the drain out and the
-  whole tree exits cleanly;
+  whole tree exits cleanly, within the drain timeout even right after
+  traffic on a shared listener;
 - **crash restarts** — a SIGKILLed worker is respawned under the restart
   budget and the pool keeps serving.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
+import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -304,6 +308,115 @@ class TestSigtermDrain:
                 break
             time.sleep(0.1)
         assert not alive, f"workers survived the drain: {alive}"
+
+
+class TestSigtermAfterTraffic:
+    """Regression: a ``--port 0`` pool must stop promptly after traffic.
+
+    The workers share one parent-bound listener, so a connection wakes
+    every idle worker's selector.  With a blocking listener the losers of
+    the accept race sat in ``accept()``, where ``shutdown()`` cannot reach
+    them, and SIGTERM hung until the supervisor's drain timeout expired.
+    """
+
+    DRAIN_TIMEOUT = 5.0
+    TRIALS = 3
+
+    def test_pool_exits_within_drain_timeout_after_mutations(
+        self, library_path, action_labels
+    ):
+        for trial in range(self.TRIALS):
+            pool = ServerProcess(
+                library_path, 2, "--drain-timeout", str(self.DRAIN_TIMEOUT)
+            )
+            stop = threading.Event()
+
+            def hammer(offset: int) -> None:
+                i = 0
+                while not stop.is_set():
+                    label = action_labels[(i + offset) % len(action_labels)]
+                    pool.request("/recommend", {"activity": [label], "k": 3})
+                    i += 1
+
+            threads = [
+                threading.Thread(target=hammer, args=(i * 7,), daemon=True)
+                for i in range(2)
+            ]
+            try:
+                for thread in threads:
+                    thread.start()
+                added: list[int] = []
+                for i in range(3):
+                    status, body = pool.request(
+                        "/model/implementations",
+                        {
+                            "implementations": [
+                                {
+                                    "goal": f"sigterm_goal_{i}",
+                                    "actions": [action_labels[1], f"sig_{i}"],
+                                }
+                            ]
+                        },
+                        method="PUT",
+                    )
+                    assert status == 200, body
+                    added.extend(json.loads(body)["added"])
+                status, body = pool.request(
+                    f"/model/implementations/{added[0]}", method="DELETE"
+                )
+                assert status == 200, body
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(10)
+            workers = pool.worker_pids()
+            pool.proc.send_signal(signal.SIGTERM)
+            try:
+                pool.proc.wait(self.DRAIN_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                pool.stop()
+                for pid in workers:  # a hung worker outlives its parent
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                pytest.fail(
+                    f"trial {trial}: pool still running "
+                    f"{self.DRAIN_TIMEOUT:g}s after SIGTERM"
+                )
+            _out, err = pool.proc.communicate(timeout=10)
+            assert pool.proc.returncode == 0, err
+            assert "did not drain in time" not in err, err
+
+
+class TestAdoptedListener:
+    """The shared listener is non-blocking; accepted connections are not."""
+
+    def test_accept_race_loser_gets_blocking_io_error(self):
+        from repro.service import _build_server
+        from repro.serving.workers import _build_parent_listener
+
+        listener = _build_parent_listener("127.0.0.1", 0)
+        server = _build_server(
+            "127.0.0.1", 0, object, listen_socket=listener
+        )
+        try:
+            assert listener.getblocking() is False
+            with pytest.raises(BlockingIOError):
+                server.get_request()
+            client = socket.create_connection(listener.getsockname(), 5)
+            try:
+                select.select([listener], [], [], 5)
+                conn, _addr = server.get_request()
+                try:
+                    assert conn.getblocking() is True
+                    assert not fcntl.fcntl(conn, fcntl.F_GETFL) & os.O_NONBLOCK
+                finally:
+                    conn.close()
+            finally:
+                client.close()
+        finally:
+            server.server_close()
 
 
 def _pid_alive(pid: int) -> bool:

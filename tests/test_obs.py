@@ -280,6 +280,46 @@ class TestRecommendTracing:
             "implementation_space", "goal_space", "action_space", "rank"
         } <= _span_names(recommend)
 
+    @pytest.mark.parametrize(
+        "strategy", ["breadth", "focus_cl", "best_match", "breadth_pruned"]
+    )
+    def test_csr_and_scalar_paths_report_the_same_sizes(
+        self, figure1_model, strategy
+    ):
+        """The CSR path's span is recommend -> rank with the scalar sizes.
+
+        Over a cached view the default recommender ranks in the CSR engine
+        (the pruned tier included) and takes the space sizes from it, so
+        no space-stage span runs; ``use_csr=False`` keeps the paper's
+        IS -> GS -> AS -> rank stages.
+        """
+        from repro.core import CachedModelView, GoalRecommender
+
+        trees = {}
+        for use_csr in (None, False):
+            recommender = GoalRecommender(
+                CachedModelView(figure1_model), use_csr=use_csr
+            )
+            tracer = Tracer()
+            previous = obs.set_tracer(tracer)
+            obs.enable(metrics=False, tracing=True, trace_detail=True)
+            try:
+                recommender.recommend({"a1", "a4"}, k=3, strategy=strategy)
+            finally:
+                obs.disable()
+                obs.set_tracer(previous)
+            (trees[use_csr],) = tracer.spans()
+        csr, scalar = trees[None], trees[False]
+        size_keys = ("is_size", "gs_size", "as_size", "candidates")
+        assert {key: csr["attributes"][key] for key in size_keys} == {
+            key: scalar["attributes"][key] for key in size_keys
+        }
+        assert [child["name"] for child in csr["children"]] == ["rank"]
+        assert csr["children"][0]["children"] == []
+        assert {
+            "implementation_space", "goal_space", "action_space", "rank"
+        } <= _span_names(scalar)
+
     def test_recommend_span_skips_space_sizes_without_detail(
         self, figure1_recommender
     ):

@@ -14,9 +14,10 @@ import random
 import pytest
 
 from repro import obs
-from repro.core import AssociationGoalModel, GoalRecommender
+from repro.core import AssociationGoalModel, CachedModelView, GoalRecommender
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import (
+    SIZE_BUCKETS,
     BaselineProfile,
     DriftDetector,
     QualityMonitor,
@@ -311,6 +312,35 @@ class TestQualityMonitor:
         assert 'repro_quality_space_size_items_count{space="is"} 2' in rendered
         assert 'repro_quality_space_size_items_count{space="gs"} 2' in rendered
         assert 'repro_quality_space_size_items_count{space="as"} 2' in rendered
+
+    def test_space_sizes_come_from_the_engine_over_a_cached_view(
+        self, registry, recipe_model
+    ):
+        """A view with a CSR engine answers the sampled sizes without ever
+        touching its ``implementation_space`` memo; the numbers match the
+        scalar queries of a bare model."""
+        view = CachedModelView(recipe_model)
+        encoded = recipe_model.encode_activity({"potatoes", "carrots"})
+        result = GoalRecommender(view).recommend({"potatoes", "carrots"}, k=3)
+        sums = {}
+        for model in (view, recipe_model):
+            isolated = MetricsRegistry()
+            obs.set_registry(isolated)
+            QualityMonitor(space_sample_every=1).observe_recommend(
+                "breadth", model, encoded, result
+            )
+            sums[model is view] = {
+                space: isolated.histogram(
+                    "repro_quality_space_size_items",
+                    buckets=SIZE_BUCKETS,
+                    space=space,
+                ).sum
+                for space in ("is", "gs", "as")
+            }
+        assert sums[True] == sums[False]
+        assert sums[True]["is"] == len(recipe_model.implementation_space(encoded))
+        memo = view.space_cache.stats()
+        assert memo.hits + memo.misses == 0
 
     def test_observe_traffic_oov_and_coverage(self, registry, recipe_model):
         monitor = QualityMonitor(window_size=2)

@@ -277,12 +277,13 @@ class TestTracedService:
         assert attrs["is_size"] == 2  # potatoes -> salad + mash
         assert attrs["gs_size"] == 2
         assert attrs["as_size"] == 5  # salad ∪ mash actions
-        child_names = {child["name"] for child in recommend["children"]}
-        assert "rank" in child_names
-        # All four pipeline stages appear somewhere under the request root.
-        for stage in (
-            "implementation_space", "goal_space", "action_space", "rank"
-        ):
-            assert _find_spans([recommend], stage), f"missing stage {stage}"
+        assert attrs["candidates"] == 4  # AS(H) − {potatoes}
+        # A CSR-routed read ranks in the engine and takes the sizes from
+        # one engine call: the tree is http.request -> recommend -> rank,
+        # with no scalar space-stage spans under it.
+        (root,) = roots
+        assert [child["name"] for child in root["children"]] == ["recommend"]
+        assert [child["name"] for child in recommend["children"]] == ["rank"]
+        assert recommend["children"][0]["children"] == []
         # The tree is valid JSON end to end.
         json.loads(obs.get_tracer().export_json())
