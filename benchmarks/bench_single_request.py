@@ -14,8 +14,8 @@ Two gates (both in the CI ``bench`` job, against constants committed here):
    measured per-request latency below the exact CSR path's.
 
 Timing legs use best-of-``REPEATS`` over a fixed activity sample; the
-engine (and its lazily built co-occurrence index) is warmed outside every
-timed region so the gates price steady-state serving, not construction.
+engine, co-occurrence index included, is built before every timed region
+so the gates price steady-state serving, not construction.
 """
 
 from __future__ import annotations
@@ -28,9 +28,15 @@ import pytest
 
 from conftest import publish
 
-from repro.core import AssociationGoalModel, GoalRecommender, recall_at_k
+from repro.core import (
+    AssociationGoalModel,
+    CachedModelView,
+    GoalRecommender,
+    recall_at_k,
+)
 from repro.core.approximate import PrunedBreadthStrategy
 from repro.core.recommender import PAPER_STRATEGIES
+from repro.core.vectorized import BatchRecommender
 from repro.data import (
     FoodMartConfig,
     FortyThreeConfig,
@@ -141,7 +147,7 @@ def dense_workload():
 def test_csr_hot_path_speedup_with_parity(paper_workload):
     model, activities = paper_workload
     scalar = GoalRecommender(model, use_csr=False)
-    csr = GoalRecommender(model, use_csr=True)
+    csr = GoalRecommender(CachedModelView(model))
     assert csr.csr_engine() is not None, "SciPy missing: nothing to gate"
 
     rows = []
@@ -154,7 +160,7 @@ def test_csr_hot_path_speedup_with_parity(paper_workload):
             ]
 
         scalar_lists = run()
-        csr_lists = run(csr)  # also warms the engine + co-occurrence index
+        csr_lists = run(csr)
         assert scalar_lists == csr_lists, (
             f"{strategy}: CSR output diverges from the scalar reference"
         )
@@ -210,17 +216,12 @@ def test_csr_hot_path_speedup_with_parity(paper_workload):
 
 def test_pruned_tier_recall_and_latency(dense_workload):
     model, activities = dense_workload
-    csr = GoalRecommender(model, use_csr=True)
-    engine = csr.csr_engine()
-    assert engine is not None, "SciPy missing: nothing to gate"
+    engine = BatchRecommender(model)
     pruned = PrunedBreadthStrategy()  # serving default budget
     encoded = [model.encode_activity(a) for a in activities]
 
-    # Warm the co-occurrence index outside the timed regions.
-    engine.rank(encoded[0], TOP_K, "breadth")
-
     exact_lists = [engine.rank(e, TOP_K, "breadth") for e in encoded]
-    approx_lists = [pruned.rank(csr.model, e, TOP_K) for e in encoded]
+    approx_lists = [pruned.rank(model, e, TOP_K) for e in encoded]
     scored = [
         (exact, approx)
         for exact, approx in zip(exact_lists, approx_lists)

@@ -418,10 +418,10 @@ def _bench_single_request(harness: ExperimentHarness) -> dict[str, Metric]:
     parity and the (deterministic) recall against the exact rankings.
     """
     scalar = GoalRecommender(harness.model, use_csr=False)
-    csr = GoalRecommender(harness.model, use_csr=True)
     activities = [user.observed for user in harness.split]
     metrics: dict[str, Metric] = {}
     start = time.perf_counter()
+    csr = GoalRecommender(CachedModelView(harness.model))
     parity = 1.0
     for strategy in PAPER_STRATEGIES:
         digest, nonempty = _ranking_checksum(csr, activities, strategy)
@@ -479,9 +479,9 @@ def _bench_shared_arena(harness: ExperimentHarness) -> dict[str, Metric]:
     from repro.core.vectorized import BatchRecommender
     from repro.serving.shared import SharedModelArena
 
-    direct = GoalRecommender(harness.model, use_csr=True)
     activities = [user.observed for user in harness.split]
     start = time.perf_counter()
+    direct = GoalRecommender(CachedModelView(harness.model))
     engine = direct.csr_engine()
     assert engine is not None, "the smoke harness model is never empty"
     arena = SharedModelArena(engine.export_arrays())
@@ -493,7 +493,7 @@ def _bench_shared_arena(harness: ExperimentHarness) -> dict[str, Metric]:
     view = CachedModelView(
         harness.model,
         cache=LRUCache(256, name="bench_arena"),
-        engine_factory=lambda: rebuilt,
+        engine=rebuilt,
     )
     shared = GoalRecommender(view)
     parity = 1.0

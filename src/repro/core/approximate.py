@@ -32,10 +32,10 @@ latency budget matters more than exact scores, two approximations apply:
 Both strategies target the :class:`~repro.core.protocols.ModelView`
 protocol, so they run over :class:`~repro.core.caching.CachedModelView` and
 incremental models as well as the concrete
-:class:`~repro.core.model.AssociationGoalModel`.  When the view exposes a
-CSR engine (``csr_engine()``), the pruned tier delegates to its
-budget-capped kernel; the scalar fallback below computes the identical
-truncated sum without NumPy.
+:class:`~repro.core.model.AssociationGoalModel`.  When the view carries a
+CSR engine (:func:`~repro.core.protocols.engine_of`), the pruned tier
+delegates to its budget-capped kernel; the scalar fallback below computes
+the identical truncated sum without NumPy.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.core.entities import RecommendationList
-from repro.core.protocols import ModelView
+from repro.core.protocols import ModelView, engine_of
 from repro.core.strategies.base import (
     RankingStrategy,
     rank_scored_ids,
@@ -134,7 +134,7 @@ class PrunedBreadthStrategy(RankingStrategy):
     exact for every activity whose actions all have connectivity at or
     below ``budget``.
 
-    When the model view exposes ``csr_engine()`` (the serving layer's
+    When the model view carries a CSR engine (the serving layer's
     :class:`~repro.core.caching.CachedModelView` does), ranking delegates
     to :meth:`~repro.core.vectorized.BatchRecommender.pruned_breadth_rank`;
     otherwise a scalar fallback computes the identical truncated sum, so
@@ -187,14 +187,9 @@ class PrunedBreadthStrategy(RankingStrategy):
         k: int,
     ) -> list[tuple[int, float]]:
         """Top-``k`` candidates by budget-capped Breadth score."""
-        engine_factory = getattr(model, "csr_engine", None)
-        if engine_factory is not None:
-            engine = engine_factory()
-            if engine is not None:
-                ranked: list[tuple[int, float]] = engine.pruned_breadth_rank(
-                    activity, k, self.budget
-                )
-                return ranked
+        engine = engine_of(model)
+        if engine is not None:
+            return engine.pruned_breadth_rank(activity, k, self.budget)
         return rank_scored_ids(self.scores(model, activity), k)
 
 

@@ -21,7 +21,7 @@ Three pieces live here:
 - :class:`CachedModelView` — a read-only proxy over an
   :class:`~repro.core.model.AssociationGoalModel` that memoizes
   ``implementation_space`` (and the ``GS``/``AS`` queries derived from it)
-  through an :class:`LRUCache`;
+  through an :class:`LRUCache` and carries the generation's CSR engine;
 - :class:`CachingRecommender` — a :class:`~repro.core.recommender.GoalRecommender`
   wrapper that consults the recommendation LRU before ranking.
 
@@ -44,7 +44,7 @@ from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.core.entities import ActionLabel, GoalLabel, RecommendationList
@@ -53,13 +53,17 @@ from repro.core.recommender import GoalRecommender
 from repro.resilience.faults import inject
 from repro.utils.concurrency import make_lock
 
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
+    from repro.core.vectorized import BatchRecommender
+
 _SENTINEL = object()
 
 #: Lock discipline, machine-checked by ``repro-lint`` (rule RL001, see
 #: docs/static-analysis.md).  ``LRUCache`` state lives under its lock;
-#: ``CachedModelView`` is an immutable proxy — its fields are bound once
-#: in ``__init__`` and never reassigned, which is what makes sharing one
-#: view across handler threads safe without any locking.
+#: ``CachedModelView`` is an immutable proxy — its fields, the CSR engine
+#: included, are bound once in ``__init__`` and never reassigned, which is
+#: what makes sharing one view across handler threads safe without any
+#: locking.
 _GUARDED_BY = {
     "LRUCache._data": "_lock",
     "LRUCache._hits": "_lock",
@@ -69,11 +73,8 @@ _GUARDED_BY = {
     "CachedModelView._model": "<final>",
     "CachedModelView._cache": "<final>",
     "CachedModelView._generation": "<final>",
-    "CachedModelView._engine": "_engine_lock",
-    "CachedModelView._engine_ready": "_engine_lock",
-    "CachedModelView._engine_factory": "<final>",
+    "CachedModelView._engine": "<final>",
     "LRUCache._lock": "<final>",
-    "CachedModelView._engine_lock": "<final>",
 }
 
 
@@ -273,6 +274,12 @@ class CachedModelView:
     generation's keys and is unreachable from the current one (frozen ids
     are re-densified on every freeze, so a cross-generation hit would be
     outright wrong, not merely stale).
+
+    The view also carries the generation's CSR engine
+    (:class:`~repro.core.vectorized.BatchRecommender`), built completely in
+    ``__init__`` unless one is passed in: multi-worker serving passes an
+    engine rebuilt zero-copy from the shared-memory arena, so workers skip
+    the sparse products.
     """
 
     def __init__(
@@ -280,49 +287,33 @@ class CachedModelView:
         model: AssociationGoalModel,
         cache: LRUCache | None = None,
         generation: int = 0,
-        engine_factory: Any = None,
+        engine: BatchRecommender | None = None,
     ) -> None:
         self._model = model
         self._generation = generation
         self._cache = cache if cache is not None else LRUCache(
             4096, name="implementation_space"
         )
-        self._engine: Any = None
-        self._engine_ready = False
-        self._engine_factory = engine_factory
-        self._engine_lock = make_lock("CachedModelView._engine_lock")
+        if engine is None:
+            from repro.core.vectorized import BatchRecommender
+
+            engine = BatchRecommender(model)
+        self._engine = engine
 
     @property
     def wrapped(self) -> AssociationGoalModel:
         """The underlying immutable model."""
         return self._model
 
-    def csr_engine(self) -> Any:
-        """The generation's shared CSR engine (``None`` for an empty model).
+    def csr_engine(self) -> BatchRecommender:
+        """The generation's CSR engine.
 
-        Built lazily on first use and reused for the view's lifetime — the
-        view is generation-scoped, so the engine's precomputed matrices are
-        exactly as fresh as every other cache keyed on this generation.
-        Both the single-request hot path (``GoalRecommender``) and the
-        batch endpoint (``ModelSnapshot.batch``) share this one instance.
-        Returns ``None`` when the model is empty; callers fall back to the
-        scalar strategies.
-
-        An ``engine_factory`` supplied at construction replaces the direct
-        build — multi-worker serving uses it to hand every worker an
-        engine reconstructed zero-copy from the shared-memory arena
-        instead of each worker rebuilding its own CSR matrices.
+        The view is generation-scoped, so the engine's precomputed matrices
+        are exactly as fresh as every other cache keyed on this generation.
+        Every engine consumer of a serving snapshot reads this one instance
+        (see :func:`~repro.core.protocols.engine_of`).
         """
-        with self._engine_lock:
-            if not self._engine_ready:
-                self._engine_ready = True
-                if self._engine_factory is not None:
-                    self._engine = self._engine_factory()
-                elif self._model.num_implementations > 0:
-                    from repro.core.vectorized import BatchRecommender
-
-                    self._engine = BatchRecommender(self._model)
-            return self._engine
+        return self._engine
 
     @property
     def space_cache(self) -> LRUCache:

@@ -15,6 +15,9 @@ implementation cannot silently miss part of the surface.
 only need ``rank``/``recommend`` (the facade, the ensembles, the serving
 layer) without depending on the ABC.
 
+:func:`engine_of` is the one place that decides whether a model view
+carries a CSR engine.
+
 Both protocols are ``runtime_checkable``: ``isinstance(view, ModelView)``
 verifies method *presence* (not signatures), which the test suite uses to
 pin all three implementations to the surface.
@@ -23,7 +26,7 @@ pin all three implementations to the surface.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.entities import (
     ActionLabel,
@@ -31,6 +34,9 @@ from repro.core.entities import (
     GoalLabel,
     RecommendationList,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
+    from repro.core.vectorized import BatchRecommender
 
 
 @runtime_checkable
@@ -129,3 +135,17 @@ class Strategy(Protocol):
         activity: frozenset[int],
         k: int,
     ) -> RecommendationList: ...
+
+
+def engine_of(model: object) -> BatchRecommender | None:
+    """The CSR engine ``model`` carries, or ``None``.
+
+    A :class:`~repro.core.caching.CachedModelView` carries the engine of
+    its generation, built before the view is handed out.  Bare models
+    carry none, and their callers take the scalar reference path.
+    """
+    carried = getattr(model, "csr_engine", None)
+    if carried is None:
+        return None
+    engine: BatchRecommender | None = carried()
+    return engine

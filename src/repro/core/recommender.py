@@ -21,15 +21,17 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from time import perf_counter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.core.entities import ActionLabel, GoalLabel, RecommendationList
-from repro.core.model import AssociationGoalModel
-from repro.core.protocols import ModelView
+from repro.core.protocols import ModelView, engine_of
 from repro.core.strategies import RankingStrategy, create_strategy
 from repro.core.strategies.base import require_request_count
 from repro.resilience.deadlines import Deadline, active_deadline
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
+    from repro.core.vectorized import BatchRecommender
 
 #: The strategy names the paper evaluates, in its presentation order.
 PAPER_STRATEGIES = ("focus_cmp", "focus_cl", "breadth", "best_match")
@@ -102,15 +104,13 @@ class GoalRecommender:
         model: the indexed goal model.
         default_strategy: strategy used when :meth:`recommend` is called
             without an explicit one.
-        use_csr: CSR hot-path policy.  ``None`` (default) routes the four
-            paper strategies through the model's generation-keyed CSR
-            engine whenever the model exposes one
-            (:meth:`~repro.core.caching.CachedModelView.csr_engine` — the
-            serving layer's views do); bare models stay on the scalar
-            reference strategies.  ``True`` additionally builds a private
-            engine over a bare :class:`AssociationGoalModel` (an empty
-            model stays scalar); ``False`` never routes CSR — the
-            escape hatch the parity suite uses for its reference rankings.
+        use_csr: ``True`` (default) routes the four paper strategies
+            through the CSR engine the model view carries
+            (:func:`~repro.core.protocols.engine_of` — the serving layer's
+            :class:`~repro.core.caching.CachedModelView` carries one); bare
+            models carry none and stay on the scalar reference strategies.
+            ``False`` never routes CSR — the escape hatch the parity suite
+            and the benchmark oracle use for their reference rankings.
             Both paths are bit-identical (scores, order, ties), so the
             setting is about performance, never results.
     """
@@ -119,18 +119,24 @@ class GoalRecommender:
         self,
         model: ModelView,
         default_strategy: str = "breadth",
-        use_csr: bool | None = None,
+        use_csr: bool = True,
     ) -> None:
         self.model = model
         self.default_strategy = default_strategy
         self.use_csr = use_csr
         self._strategies: dict[str, RankingStrategy] = {}
-        # Per-model-binding CSR state: the resolved engine (memoized only
-        # for the ``use_csr=True`` private build; cached views memoize
-        # their own) and the CsrStrategy adapters keyed by strategy name.
-        self._own_engine: Any = None
-        self._own_engine_ready = False
+        # The model view's engine is bound when the view is built, so the
+        # CsrStrategy adapters are resolved once here, one per paper
+        # strategy, and never change for this binding.
+        engine = engine_of(model) if use_csr else None
+        self._engine = engine
         self._csr_runners: dict[str, RankingStrategy] = {}
+        if engine is not None:
+            from repro.core.vectorized import CsrStrategy
+
+            self._csr_runners = {
+                name: CsrStrategy(engine, name) for name in _CSR_STRATEGIES
+            }
         # Call-site memo for the per-strategy counter/histogram children,
         # ``(registry, {strategy: (counter, histogram)})`` swapped as one
         # tuple (see ``model._space_counters`` for the pattern/rationale).
@@ -154,32 +160,9 @@ class GoalRecommender:
         rebound._strategies = self._strategies
         return rebound
 
-    def csr_engine(self) -> Any:
-        """The CSR engine this recommender routes through, or ``None``.
-
-        Resolution follows the ``use_csr`` policy documented on the class.
-        Model views with their own ``csr_engine()`` (the serving layer's
-        cached views) own the memo; a private engine built for
-        ``use_csr=True`` over a bare model is memoized here.
-        """
-        if self.use_csr is False:
-            return None
-        factory = getattr(self.model, "csr_engine", None)
-        if factory is not None:
-            return factory()
-        if self.use_csr is not True:
-            return None
-        if not self._own_engine_ready:
-            self._own_engine_ready = True
-            target = getattr(self.model, "wrapped", self.model)
-            if (
-                isinstance(target, AssociationGoalModel)
-                and target.num_implementations > 0
-            ):
-                from repro.core.vectorized import BatchRecommender
-
-                self._own_engine = BatchRecommender(target)
-        return self._own_engine
+    def csr_engine(self) -> BatchRecommender | None:
+        """The CSR engine this recommender routes through, or ``None``."""
+        return self._engine
 
     def _runner(
         self, name: str, chosen: RankingStrategy, options: dict[str, Any]
@@ -190,19 +173,9 @@ class GoalRecommender:
         rerouted — ablation variants (``options``) and every other
         registered strategy run their scalar implementation unchanged.
         """
-        if options or name not in _CSR_STRATEGIES:
+        if options:
             return chosen
-        runner = self._csr_runners.get(name)
-        if runner is not None:
-            return runner
-        engine = self.csr_engine()
-        if engine is None:
-            return chosen
-        from repro.core.vectorized import CsrStrategy
-
-        runner = CsrStrategy(engine, name)
-        self._csr_runners[name] = runner
-        return runner
+        return self._csr_runners.get(name, chosen)
 
     def strategy(self, name: str, **options: Any) -> RankingStrategy:
         """Return (and cache) a strategy instance by registry name.
@@ -374,10 +347,8 @@ class GoalRecommender:
         one (``use_csr=False``, bare models) the scalar space queries
         answer, emitting their stage spans.  Both give the same numbers.
         """
-        engine = self.csr_engine()
-        if engine is not None:
-            sizes: tuple[int, int, int, int] = engine.space_sizes(encoded)
-            return sizes
+        if self._engine is not None:
+            return self._engine.space_sizes(encoded)
         impl_space = model.implementation_space(encoded)
         action_space = model.action_space(encoded)
         return (

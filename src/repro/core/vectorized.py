@@ -39,7 +39,6 @@ single ``sqrt`` in the cosine distance matches the reference formula.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
 
 import numpy as np
@@ -59,12 +58,6 @@ _STRATEGIES = ("breadth", "focus_cmp", "focus_cl", "best_match")
 #: stable ``argsort`` over the (id-ascending) candidates is cheaper than
 #: the partition's extra array passes.
 _PARTITION_CUTOVER = 4096
-
-#: Lock discipline, machine-checked by ``repro-lint`` (rule RL001).  All
-#: other ``BatchRecommender`` state is bound in ``__init__`` and read-only.
-_GUARDED_BY = {
-    "BatchRecommender._cooc": "_cooc_lock",
-}
 
 
 def _gather_positions(
@@ -102,10 +95,14 @@ class BatchRecommender:
     """Vectorized scorer over a frozen goal model.
 
     Build once per model generation; single requests are a few gathered
-    CSR rows, bulk requests a few sparse matrix products.  The serving
-    layer keys one instance per generation (``ModelSnapshot.batch`` /
-    ``CachedModelView.csr_engine``) and routes both the batch endpoint and
-    single-activity ``rank()`` through it.
+    CSR rows, bulk requests a few sparse matrix products.  Construction
+    builds every derived structure, the co-occurrence index included, so
+    an engine is complete and read-only from the moment it exists and
+    concurrent readers share it without a lock.  The serving layer builds
+    one instance per generation before publishing the generation's
+    snapshot (``CachedModelView.csr_engine`` / ``ModelSnapshot.engine``)
+    and routes the batch endpoint, single-activity ``rank()``, the
+    approximate tier and the trace-detail space sizes through it.
     """
 
     def __init__(self, model: AssociationGoalModel) -> None:
@@ -165,10 +162,7 @@ class BatchRecommender:
             for pid in range(model.num_implementations)
         ]
         self._labels = model.action_labels()
-        # Action co-occurrence index S = MᵀM, built on the first breadth
-        # rank (exact or pruned) — see _cooccurrence().
-        self._cooc: tuple[list[np.ndarray], list[np.ndarray]] | None = None
-        self._cooc_lock = threading.Lock()
+        self._cooc = self._build_cooccurrence()
 
     # ------------------------------------------------------------------
     # Array export / zero-copy reconstruction (multi-worker serving)
@@ -181,10 +175,10 @@ class BatchRecommender:
         into a :class:`~repro.serving.shared.SharedModelArena`, and each
         forked worker rebuilds an identical engine with
         :meth:`from_arrays` over zero-copy views of the same physical
-        pages.  The co-occurrence index is warmed first so children never
-        build (and privately allocate) it themselves.
+        pages.  The co-occurrence index travels with the rest, so children
+        never build (and privately allocate) it themselves.
         """
-        col_rows, val_rows = self._cooccurrence()
+        col_rows, val_rows = self._cooc
         cooc_indptr = np.zeros(len(col_rows) + 1, dtype=np.int64)
         np.cumsum([row.size for row in col_rows], out=cooc_indptr[1:])
         impl_sorted_indptr = np.zeros(len(self._impl_sorted) + 1, dtype=np.int64)
@@ -280,12 +274,10 @@ class BatchRecommender:
         ]
         self._labels = model.action_labels()
         boundaries = arrays["cooc_indptr"][1:-1]
-        self._cooc_lock = threading.Lock()
-        with self._cooc_lock:  # single-threaded here; satisfies RL001
-            self._cooc = (
-                np.split(arrays["cooc_cols"], boundaries),
-                np.split(arrays["cooc_vals"], boundaries),
-            )
+        self._cooc = (
+            np.split(arrays["cooc_cols"], boundaries),
+            np.split(arrays["cooc_vals"], boundaries),
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -324,8 +316,8 @@ class BatchRecommender:
         pids, counts = np.unique(touched, return_counts=True)
         return act, pids, counts.astype(np.float64)
 
-    def _cooccurrence(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The frequency-ordered co-occurrence index, built lazily.
+    def _build_cooccurrence(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The frequency-ordered co-occurrence index.
 
         ``S = MᵀM`` with every row sorted by ``(-count, action_id)``:
         ``S[b, c]`` counts the implementations containing both ``b`` and
@@ -334,27 +326,18 @@ class BatchRecommender:
         the approximate tier's budgeted traversal.  The index is kept as
         per-row ``(columns, counts)`` views so a request is one
         ``np.concatenate`` of ``|H|`` views.  Building S costs one spmm
-        (milliseconds at paper scale); the lock keeps concurrent first
-        requests from racing the build.
+        plus a sort: tens of milliseconds at sparse paper scale, under a
+        second at dense FoodMart scale.
         """
-        with self._cooc_lock:
-            cooc = self._cooc
-            if cooc is None:
-                s = (self._mt @ self._m).tocsr()
-                indptr = s.indptr.astype(np.int64)
-                row_of = np.repeat(
-                    np.arange(self.model.num_actions), np.diff(indptr)
-                )
-                order = np.lexsort((s.indices, -s.data, row_of))
-                cols_sorted = s.indices.astype(np.int64)[order]
-                vals_sorted = s.data[order]
-                boundaries = indptr[1:-1]
-                cooc = (
-                    np.split(cols_sorted, boundaries),
-                    np.split(vals_sorted, boundaries),
-                )
-                self._cooc = cooc
-            return cooc
+        s = (self._mt @ self._m).tocsr()
+        indptr = s.indptr.astype(np.int64)
+        row_of = np.repeat(np.arange(self.model.num_actions), np.diff(indptr))
+        order = np.lexsort((s.indices, -s.data, row_of))
+        boundaries = indptr[1:-1]
+        return (
+            np.split(s.indices.astype(np.int64)[order], boundaries),
+            np.split(s.data[order], boundaries),
+        )
 
     @staticmethod
     def _ranked_pairs(
@@ -412,7 +395,7 @@ class BatchRecommender:
         """
         if not activity:
             return []
-        col_rows, val_rows = self._cooccurrence()
+        col_rows, val_rows = self._cooc
         if budget is None:
             col_parts = [col_rows[a] for a in activity]
             val_parts = [val_rows[a] for a in activity]
@@ -600,7 +583,7 @@ class BatchRecommender:
         impl_mask[np.concatenate([self._post_rows[a] for a in activity])] = True
         goal_mask = np.zeros(self.model.num_goals, dtype=bool)
         goal_mask[self._goal_of_impl[impl_mask]] = True
-        col_rows, _ = self._cooccurrence()
+        col_rows = self._cooc[0]
         action_mask = np.zeros(self.model.num_actions, dtype=bool)
         action_mask[np.concatenate([col_rows[a] for a in activity])] = True
         as_size = int(np.count_nonzero(action_mask))

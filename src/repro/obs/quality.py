@@ -604,9 +604,11 @@ class QualityMonitor:
         """
         if not runtime.metrics_enabled():
             return
+        # Imported here: repro.core imports repro.obs at module level.
+        from repro.core.protocols import engine_of
+
         registry = obs_metrics.get_registry()
-        engine_factory = getattr(model, "csr_engine", None)
-        engine = engine_factory() if engine_factory is not None else None
+        engine = engine_of(model)
         if engine is not None:
             is_size, gs_size, as_size, _ = engine.space_sizes(activity)
         else:

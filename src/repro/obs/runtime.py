@@ -14,11 +14,11 @@ Five subsystems, all starting **disabled**:
   meaningful with metrics on; the flag is separate because exemplar capture
   reads the request-id ContextVar on every ``observe``);
 - ``trace_detail`` — recommend spans additionally carry the space sizes
-  |IS(H)|, |GS(H)|, |AS(H)| and the candidate count.  These cost three
-  extra index queries per request — far more than the span machinery
-  itself — so they are opt-in on top of ``tracing`` and the 10% enabled-path
-  overhead budget (``benchmarks/bench_obs_overhead.py``) is enforced
-  *without* them;
+  |IS(H)|, |GS(H)|, |AS(H)| and the candidate count.  On the CSR path
+  they cost one engine call per request; on the scalar path, three extra
+  index queries — far more than the span machinery itself — so they are
+  opt-in on top of ``tracing`` and the 10% enabled-path overhead budget
+  (``benchmarks/bench_obs_overhead.py``) is enforced *without* them;
 - ``quality`` — recommendation-quality accounting into the process
   :class:`~repro.obs.quality.QualityMonitor` (score distributions, empty
   and below-threshold result rates, OOV rate, drift detection; see

@@ -165,7 +165,6 @@ from repro.utils.concurrency import (
     RWLock,
     lock_sanitizer_snapshot,
     make_condition,
-    make_lock,
 )
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: an activity list, not a bulk upload
@@ -213,12 +212,11 @@ _LOG = obs.get_logger("repro.service")
 #: RWLock themselves or carry the ``_locked`` suffix marking that their
 #: caller already holds it.
 _GUARDED_BY = {
-    "ModelSnapshot._batch": "_batch_lock",
-    "ModelSnapshot._batch_lock": "<final>",
     "ModelManager._incremental": "_lock",
     "ModelManager._generation": "_lock",
     "ModelManager._snapshot": "_lock",
     "ModelManager._base_recommender": "_lock",
+    "ModelManager._initial_engine": "_lock",
     "ModelManager._lock": "<final>",
     # Set once during single-threaded worker bootstrap, before the server
     # thread exists; read-only afterwards.
@@ -235,18 +233,21 @@ _OPS_ROUTES = ("/health", "/metrics")
 
 
 class ModelSnapshot:
-    """One immutable model generation plus its lazily built scorers.
+    """One immutable model generation plus its scorers.
 
     Everything a read path needs hangs off the snapshot, so a handler
     resolves it once (under the read lock) and then runs against state that
     no writer will ever mutate.  ``frozen`` is ``None`` for the empty model
     (every implementation removed) — read endpoints degrade to empty
-    results instead of erroring.
+    results instead of erroring.  ``engine`` is the generation's one CSR
+    engine, built before the snapshot is published; ``/recommend``,
+    ``/recommend/batch``, the approximate tier and the quality monitor's
+    sampled reads all score through it.
     """
 
     __slots__ = (
         "generation", "frozen", "recommender", "caching_recommender",
-        "_batch", "_batch_lock",
+        "engine",
     )
 
     def __init__(
@@ -260,32 +261,9 @@ class ModelSnapshot:
         self.frozen = frozen
         self.recommender = recommender
         self.caching_recommender = caching_recommender
-        self._batch: BatchRecommender | None = None
-        self._batch_lock = make_lock("ModelSnapshot._batch_lock")
-
-    def batch(self) -> "BatchRecommender | None":
-        """The CSR :class:`BatchRecommender` for this generation.
-
-        Built on first use and reused for every later batch request of the
-        same generation; returns ``None`` when the model is empty.
-        The engine is shared with the single-request hot path: when the
-        recommender's model view exposes ``csr_engine()`` (the serving
-        layer's :class:`~repro.core.caching.CachedModelView` does), both
-        paths score through the same precomputed matrices.
-        """
-        if self.frozen is None:
-            return None
-        if self.recommender is not None:
-            factory = getattr(self.recommender.model, "csr_engine", None)
-            if factory is not None:
-                engine: BatchRecommender | None = factory()
-                return engine
-        with self._batch_lock:
-            if self._batch is None:
-                from repro.core.vectorized import BatchRecommender
-
-                self._batch = BatchRecommender(self.frozen)
-            return self._batch
+        self.engine: BatchRecommender | None = (
+            None if recommender is None else recommender.csr_engine()
+        )
 
 
 class ModelManager:
@@ -306,7 +284,7 @@ class ModelManager:
         on_swap: Callable[[ModelSnapshot], None] | None = None,
         approx_budget: int = 128,
         initial_generation: int = 0,
-        engine_factory: Callable[[], Any] | None = None,
+        engine: BatchRecommender | None = None,
     ) -> None:
         self._lock = RWLock(site="ModelManager._lock")
         self._incremental = incremental
@@ -314,13 +292,11 @@ class ModelManager:
         # (forked from the parent's *current* model state) report the same
         # generation as its surviving siblings instead of restarting at 0.
         self._generation = initial_generation
-        self._initial_generation = initial_generation
         self._approx_budget = approx_budget
-        # Builds the CSR engine of the *initial* snapshot only — workers
-        # pass a shared-memory reconstruction here; after the first
-        # mutation the frozen model changes and the normal per-generation
-        # build takes over.
-        self._engine_factory = engine_factory
+        # The CSR engine of the *initial* snapshot only — workers pass a
+        # shared-memory reconstruction here.  The first snapshot build
+        # consumes it; every later generation builds its own.
+        self._initial_engine = engine
         # When set (multi-worker mode), public mutations are forwarded to
         # the parent for serialization instead of applied locally — see
         # set_mutation_router().
@@ -357,20 +333,18 @@ class ModelManager:
     # ------------------------------------------------------------------
 
     def _build_snapshot_locked(self) -> ModelSnapshot:
+        engine, self._initial_engine = self._initial_engine, None
         if self._incremental.num_implementations == 0:
             return ModelSnapshot(self._generation, None, None, None)
         frozen = self._incremental.freeze()
         # The caches are shared across generations; the generation baked
         # into every key keeps a late store from an in-flight request of a
-        # retired snapshot unreachable from this one.
-        factory = (
-            self._engine_factory
-            if self._generation == self._initial_generation
-            else None
-        )
+        # retired snapshot unreachable from this one.  The view builds the
+        # generation's CSR engine here, before the snapshot is published,
+        # unless it was handed the initial one.
         cached_view = CachedModelView(
             frozen, cache=self.space_cache, generation=self._generation,
-            engine_factory=factory,
+            engine=engine,
         )
         if self._base_recommender is None:
             recommender = GoalRecommender(cached_view)
@@ -695,7 +669,9 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         try:
             payload = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # json.loads(bytes) decodes before parsing: a body that is not
+            # valid UTF-8 fails there, and is the same client error.
             self._send_error(400, "invalid JSON body", detail=str(exc))
             return None
         if not isinstance(payload, dict):
@@ -1310,7 +1286,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         snap = self.service.manager.snapshot()
         start = time.perf_counter()
-        batch = snap.batch()
+        batch = snap.engine
         if batch is None:
             results: list[list[dict]] = [[] for _ in activities]
         else:
@@ -1610,8 +1586,8 @@ class RecommenderService:
             latency histograms (rendered by the OpenMetrics ``/metrics``
             variant); implies nothing unless metrics are on.
         trace_detail: recommend spans additionally carry the space sizes
-            |IS|, |GS|, |AS| and the candidate count (three extra index
-            queries per request); implies nothing unless tracing is on.
+            |IS|, |GS|, |AS| and the candidate count (one CSR engine call
+            per request); implies nothing unless tracing is on.
         cache_size: capacity of the ``(generation, strategy, activity, k)``
             recommendation LRU; 0 disables result caching.
         approx_budget: per-action posting-list cap of the ``tier=approx``
@@ -1658,9 +1634,10 @@ class RecommenderService:
         initial_generation: starting value of the model generation
             counter — a respawned worker resumes at the pool's current
             generation instead of 0.
-        engine_factory: builds the initial generation's CSR engine; the
-            multi-worker bootstrap passes the zero-copy shared-memory
-            reconstruction so workers skip the sparse products.
+        engine: the initial generation's CSR engine; the multi-worker
+            bootstrap passes the zero-copy shared-memory reconstruction so
+            workers skip the sparse products.  ``None`` builds it from the
+            model.
     """
 
     def __init__(
@@ -1698,7 +1675,7 @@ class RecommenderService:
         reuse_port: bool = False,
         listen_socket: socket.socket | None = None,
         initial_generation: int = 0,
-        engine_factory: Callable[[], Any] | None = None,
+        engine: BatchRecommender | None = None,
     ) -> None:
         self._registry = registry
         obs.enable(
@@ -1741,7 +1718,7 @@ class RecommenderService:
             on_swap=self._on_model_swap,
             approx_budget=approx_budget,
             initial_generation=initial_generation,
-            engine_factory=engine_factory,
+            engine=engine,
         )
         # The manager's constructor built the generation-0 snapshot before
         # the swap callback could see it; freeze the initial baseline now.

@@ -47,7 +47,6 @@ import sys
 import threading
 import time
 import traceback
-from collections.abc import Callable
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from pathlib import Path
@@ -297,17 +296,13 @@ def _worker_main(config: _WorkerConfig) -> int:
         # This copy came through fork: never unlink the segment on exit.
         config.arena.mark_inherited()
 
-    engine_factory: Callable[[], Any] | None = None
+    engine = None
     if config.arena is not None and config.frozen is not None:
-        arena_views = config.arena.views()
-        frozen = config.frozen
+        from repro.core.vectorized import BatchRecommender
 
-        def _shared_engine() -> Any:
-            from repro.core.vectorized import BatchRecommender
-
-            return BatchRecommender.from_arrays(frozen, arena_views)
-
-        engine_factory = _shared_engine
+        engine = BatchRecommender.from_arrays(
+            config.frozen, config.arena.views()
+        )
 
     kwargs = dict(config.service_kwargs)
     if kwargs.get("telemetry_dir") is not None:
@@ -326,7 +321,7 @@ def _worker_main(config: _WorkerConfig) -> int:
         reuse_port=config.reuse_port,
         listen_socket=config.listen_socket,
         initial_generation=config.initial_generation,
-        engine_factory=engine_factory,
+        engine=engine,
         **kwargs,
     )
     obs.get_registry().gauge(

@@ -270,10 +270,20 @@ def test_exports_available_from_core():
 
 
 class TestCachedViewCsrEngine:
-    def test_engine_memoized(self, figure1_model):
+    def test_engine_built_at_construction(self, figure1_model):
+        from repro.core.vectorized import BatchRecommender
+
         view = CachedModelView(figure1_model)
-        engine = view.csr_engine()
-        assert engine is not None
+        engine = view._engine
+        assert isinstance(engine, BatchRecommender)
+        assert view.csr_engine() is engine
+        assert view.csr_engine() is engine
+
+    def test_given_engine_is_bound_unchanged(self, figure1_model):
+        from repro.core.vectorized import BatchRecommender
+
+        engine = BatchRecommender(figure1_model)
+        view = CachedModelView(figure1_model, engine=engine)
         assert view.csr_engine() is engine
 
     def test_recommender_over_view_auto_routes_with_parity(

@@ -296,7 +296,7 @@ class TestRecommendTracing:
         from repro.core import CachedModelView, GoalRecommender
 
         trees = {}
-        for use_csr in (None, False):
+        for use_csr in (True, False):
             recommender = GoalRecommender(
                 CachedModelView(figure1_model), use_csr=use_csr
             )
@@ -309,7 +309,7 @@ class TestRecommendTracing:
                 obs.disable()
                 obs.set_tracer(previous)
             (trees[use_csr],) = tracer.spans()
-        csr, scalar = trees[None], trees[False]
+        csr, scalar = trees[True], trees[False]
         size_keys = ("is_size", "gs_size", "as_size", "candidates")
         assert {key: csr["attributes"][key] for key in size_keys} == {
             key: scalar["attributes"][key] for key in size_keys

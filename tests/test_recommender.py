@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GoalRecommender, PAPER_STRATEGIES
+from repro.core import CachedModelView, GoalRecommender, PAPER_STRATEGIES
 from repro.core.strategies import STRATEGY_REGISTRY, create_strategy
 from repro.exceptions import RecommendationError, StrategyNotFoundError
 
@@ -96,13 +96,15 @@ class TestExplain:
 
 
 class TestCsrRouting:
-    """The ``use_csr`` policy: routing is a performance choice, never a
-    results choice."""
+    """The ``use_csr`` switch: routing is a performance choice, never a
+    results choice.  CSR routing comes only from a model view that carries
+    an engine."""
 
     @pytest.mark.parametrize("strategy", PAPER_STRATEGIES)
     def test_csr_and_scalar_agree(self, figure1_model, strategy):
         scalar = GoalRecommender(figure1_model, use_csr=False)
-        csr = GoalRecommender(figure1_model, use_csr=True)
+        csr = GoalRecommender(CachedModelView(figure1_model))
+        assert csr.csr_engine() is not None
         for activity in ({"a1"}, {"a1", "a2"}, {"a2", "a6"}, set()):
             assert csr.recommend(activity, k=10, strategy=strategy) == (
                 scalar.recommend(activity, k=10, strategy=strategy)
@@ -112,21 +114,20 @@ class TestCsrRouting:
         recommender = GoalRecommender(figure1_model, use_csr=False)
         assert recommender.csr_engine() is None
 
+    def test_use_csr_false_ignores_the_views_engine(self, figure1_model):
+        view = CachedModelView(figure1_model)
+        recommender = GoalRecommender(view, use_csr=False)
+        assert recommender.csr_engine() is None
+        chosen = recommender.strategy("breadth")
+        assert recommender._runner("breadth", chosen, {}) is chosen
+
     def test_bare_model_defaults_to_scalar(self, figure1_model):
-        # Auto mode only routes when the model exposes a generation-keyed
-        # engine; a bare AssociationGoalModel does not.
+        # Only a model view carrying an engine routes; a bare
+        # AssociationGoalModel does not, and the facade never builds one.
         recommender = GoalRecommender(figure1_model)
         assert recommender.csr_engine() is None
 
-    def test_use_csr_true_builds_private_engine_once(self, figure1_model):
-        recommender = GoalRecommender(figure1_model, use_csr=True)
-        engine = recommender.csr_engine()
-        assert engine is not None
-        assert recommender.csr_engine() is engine
-
     def test_cached_view_auto_routes(self, figure1_model):
-        from repro.core.caching import CachedModelView
-
         view = CachedModelView(figure1_model)
         recommender = GoalRecommender(view)
         engine = recommender.csr_engine()
@@ -136,20 +137,24 @@ class TestCsrRouting:
         assert GoalRecommender(view).csr_engine() is engine
 
     def test_options_bypass_csr(self, figure1_model):
-        csr = GoalRecommender(figure1_model, use_csr=True)
+        csr = GoalRecommender(CachedModelView(figure1_model))
         chosen = csr.strategy("breadth")
         assert csr._runner("breadth", chosen, {"x": 1}) is chosen
         assert csr._runner("breadth", chosen, {}) is not chosen
 
     def test_with_model_copies_policy(self, figure1_model, recipe_model):
-        recommender = GoalRecommender(figure1_model, use_csr=True)
-        rebound = recommender.with_model(recipe_model)
+        recommender = GoalRecommender(CachedModelView(figure1_model))
+        target = CachedModelView(recipe_model)
+        rebound = recommender.with_model(target)
         assert rebound.use_csr is True
-        assert rebound.csr_engine() is not None
+        assert rebound.csr_engine() is target.csr_engine()
+        off = GoalRecommender(figure1_model, use_csr=False).with_model(target)
+        assert off.use_csr is False
+        assert off.csr_engine() is None
 
     def test_recommend_all_parity(self, figure1_model):
         scalar = GoalRecommender(figure1_model, use_csr=False)
-        csr = GoalRecommender(figure1_model, use_csr=True)
+        csr = GoalRecommender(CachedModelView(figure1_model))
         assert csr.recommend_all({"a1"}, k=5) == scalar.recommend_all(
             {"a1"}, k=5
         )

@@ -7,9 +7,15 @@ get a :class:`~repro.exceptions.RecommendationError` instead of a silent
 top-1 ranking.  Every public ranking entry point is covered: the facade,
 the strategy base class, and both ``BatchRecommender`` entry points
 (including ``chunk_size``).
+
+The HTTP layer's body decoding is pinned here too: a body that is not
+valid UTF-8 is a client error (400), never a handler crash (500).
 """
 
 from __future__ import annotations
+
+import http.client
+import json
 
 import pytest
 
@@ -76,3 +82,43 @@ class TestBatchRecommender:
     def test_valid_request_passes(self, figure1_recommender):
         result = figure1_recommender.recommend({"a1"}, k=3)
         assert len(result) <= 3
+
+
+class TestUndecodableBody:
+    """``json.loads(bytes)`` raises ``UnicodeDecodeError`` (not
+    ``JSONDecodeError``) on invalid UTF-8; both routes that read a JSON
+    body must answer it as ``400 invalid JSON body``."""
+
+    @pytest.fixture(scope="class")
+    def service(self, request):
+        from repro.core import AssociationGoalModel
+        from repro.service import RecommenderService
+
+        model = AssociationGoalModel.from_pairs(
+            [("g1", {"a1", "a2"}), ("g2", {"a2", "a3"})]
+        )
+        server = RecommenderService(model, port=0).start()
+        request.addfinalizer(server.stop)
+        return server
+
+    @pytest.mark.parametrize(
+        "method,path",
+        [("POST", "/recommend"), ("PUT", "/model/implementations")],
+    )
+    def test_invalid_utf8_body_is_400(self, service, method, path):
+        body = b'{"activity": ["\xff"]}'
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", service.port, timeout=5
+        )
+        try:
+            connection.request(
+                method, path, body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert payload["error"] == "invalid JSON body"
+        assert service.manager.generation == 0

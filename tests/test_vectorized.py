@@ -142,3 +142,50 @@ class TestApi:
         )
         expected = batch.recommend({"a1"}, k=5, strategy="focus_cmp")
         assert results[0].actions() == expected.actions()
+
+
+class TestEagerBuild:
+    """Construction builds the whole engine, the co-occurrence index
+    included, so an engine is complete and read-only from birth."""
+
+    @staticmethod
+    def _assert_complete(engine, model):
+        state = vars(engine)
+        assert all(value is not None for value in state.values())
+        assert not any(
+            hasattr(value, "acquire") for value in state.values()
+        ), "an engine holds no locks"
+        col_rows, val_rows = engine._cooc
+        assert len(col_rows) == len(val_rows) == model.num_actions
+
+    def test_init_and_from_arrays_answer_identically(self, scenarios):
+        for model, _, engine, activities in scenarios:
+            rebuilt = BatchRecommender.from_arrays(
+                model, engine.export_arrays()
+            )
+            for built in (engine, rebuilt):
+                self._assert_complete(built, model)
+            for raw in activities:
+                encoded = model.encode_activity(raw)
+                assert engine.space_sizes(encoded) == (
+                    rebuilt.space_sizes(encoded)
+                )
+                assert engine.pruned_breadth_rank(encoded, 10, 4) == (
+                    rebuilt.pruned_breadth_rank(encoded, 10, 4)
+                )
+                for strategy in STRATEGIES:
+                    assert engine.rank(encoded, 10, strategy) == (
+                        rebuilt.rank(encoded, 10, strategy)
+                    )
+
+    def test_reads_leave_the_engine_unchanged(self, figure1_model):
+        engine = BatchRecommender(figure1_model)
+        before = dict(vars(engine))
+        activity = figure1_model.encode_activity({"a1", "a2"})
+        for strategy in STRATEGIES:
+            engine.rank(activity, 5, strategy)
+        engine.pruned_breadth_rank(activity, 5, 2)
+        engine.space_sizes(activity)
+        after = vars(engine)
+        assert after.keys() == before.keys()
+        assert all(after[name] is before[name] for name in before)
