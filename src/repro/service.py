@@ -32,9 +32,9 @@ Endpoints (JSON unless noted):
   ``--lock-sanitizer`` / ``REPRO_LOCK_SANITIZER=1``);
 - ``GET  /debug/history`` — the metrics-history index (captured families,
   retention math, memory estimate); with ``?family=...`` (plus optional
-  ``window=`` / ``step=`` seconds and ``quantiles=``) an aligned
-  time-series view: counters as rates, gauges as last values, histograms
-  as windowed p50/p95/p99 (see ``docs/monitoring.md``);
+  ``window=`` / ``step=`` seconds) an aligned time-series view: counters
+  as rates, gauges as last values, histograms as windowed p50/p95/p99
+  (see ``docs/monitoring.md``);
 - ``GET  /debug/trace/<request-id>`` — every retained trace of that
   request (or trace id): matching span trees still in the tracer's ring
   buffer and matching slow-log entries;
@@ -53,6 +53,10 @@ Endpoints (JSON unless noted):
   spaces of the activity (paper Equations 1-2);
 - ``POST /explain`` — body ``{"activity": [...], "action": "..."}`` → the
   implementations grounding that candidate;
+- ``POST /goals`` — body ``{"activity": [...], "scorer": "coverage",
+  "top": 10}`` → the goals the activity most likely pursues, scored;
+- ``POST /related`` — body ``{"action": "...", "k": 10}`` → the actions
+  sharing implementations with that one, by Tanimoto similarity;
 - ``PUT    /model/implementations`` — body ``{"implementations":
   [{"goal": g, "actions": [...]}, ...]}`` → hot-add implementations;
 - ``DELETE /model/implementations/<id>`` — hot-remove one implementation
@@ -61,10 +65,11 @@ Endpoints (JSON unless noted):
 Hot reload semantics: the service owns an
 :class:`~repro.core.incremental.IncrementalGoalModel` behind a
 readers-writer lock.  Mutations take the write lock, update the incremental
-indexes, refreeze a serving snapshot and bump the **generation counter**;
-the swap invalidates the recommendation and implementation-space LRUs and
-drops the CSR matrices, so no ``ThreadingHTTPServer`` worker thread ever
-observes a half-updated index.  Reads resolve the current snapshot under
+indexes, refreeze a serving snapshot, build its CSR engine and bump the
+**generation counter**; the swap invalidates the recommendation and
+implementation-space LRUs and publishes the snapshot only once its engine
+is built, so no ``ThreadingHTTPServer`` worker thread ever observes a
+half-updated index.  Reads resolve the current snapshot under
 the read lock and then run lock-free against immutable state; the
 generation is part of every cache key, so a request still in flight on a
 retired snapshot can finish (and even store its result) without ever
@@ -77,14 +82,19 @@ Conventions:
   body shapes) answers ``400``; domain errors (unknown strategy, unknown
   action) answer ``422``; a removal of an unknown implementation id
   answers ``404``;
-- a known route hit with the wrong method answers ``405`` with an ``Allow``
-  header (unknown paths answer ``404``); ``HEAD`` is accepted on every
-  ``GET`` route and answers the same status and headers with no body;
+- every route is one entry of the route table ``_ROUTES``; a known route
+  hit with the wrong method answers ``405`` with an ``Allow`` header
+  (unknown paths answer ``404``), and both are decided before admission,
+  so they never answer ``429`` or ``503``; ``HEAD`` is accepted on every
+  ``GET`` route and answers the same status and headers with no body; a
+  method the service does not serve at all (``OPTIONS``, ``PATCH``, ...)
+  answers ``501`` in the same envelope, counted under ``method="other"``;
 - a client that disconnects mid-request is recorded in the metrics under
   the nginx-style ``499`` sentinel status (no response is written);
 - every response echoes an ``X-Request-Id`` header — the client's, when it
-  sent one, else a freshly minted id — and the same id is bound to the
-  structured-log context for the duration of the request;
+  is at most 64 characters of ``[A-Za-z0-9._:-]``, else a freshly minted
+  id — and the same id is bound to the structured-log context for the
+  duration of the request;
 - every response likewise carries a W3C ``traceparent`` header: an
   incoming valid ``traceparent`` pins the trace id (and flags), otherwise
   a fresh trace id is minted; the ``parent-id`` field is the span id this
@@ -130,13 +140,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import socket
 import threading
 import time
 from collections.abc import Callable, Iterable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Literal
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
     from repro.core.vectorized import BatchRecommender
@@ -176,34 +187,139 @@ _MAX_BATCH_ACTIVITIES = 50_000  # backstop against unbounded fan-out
 #: (``breadth_pruned``) — see docs/performance.md.
 _TIERS = ("exact", "approx")
 
-#: Known routes by supported method; wrong-method hits answer 405.
-_GET_ROUTES = (
-    "/health", "/metrics", "/model", "/debug/vars", "/debug/slow",
-    "/debug/quality", "/debug/locks", "/debug/history",
-)
-_POST_ROUTES = (
-    "/recommend", "/recommend/batch", "/spaces", "/explain", "/goals",
-    "/related",
-)
-_PUT_ROUTES = ("/model/implementations",)
-#: The cProfile session route: POST starts, DELETE stops.  Routed before
-#: the generic blocks because it is the one POST route without a JSON body.
-_PROFILE_ROUTE = "/debug/profile"
 #: ``?sort=`` values accepted by ``DELETE /debug/profile`` (pstats keys).
 _PROFILE_SORTS = (
     "cumulative", "tottime", "time", "calls", "ncalls", "filename",
     "line", "name", "module", "pcalls", "stdname",
 )
-#: Prefix for the parametrized DELETE route; the trailing segment is the
-#: implementation id.  Metrics label it with the literal ``<id>`` placeholder
-#: to keep cardinality bounded.
-_DELETE_PREFIX = "/model/implementations/"
-_DELETE_ENDPOINT = "/model/implementations/<id>"
-#: Prefix for the parametrized trace-lookup route; the trailing segment is
-#: a request id (or trace id).  Collapsed to one metrics label like the
-#: DELETE route above.
-_TRACE_PREFIX = "/debug/trace/"
-_TRACE_ENDPOINT = "/debug/trace/<request-id>"
+
+#: The methods the handler serves.  Any other method token answers ``501``
+#: and is counted under the one ``method="other"`` label, so clients cannot
+#: mint new label values.
+_METHODS = ("GET", "HEAD", "POST", "PUT", "DELETE")
+
+#: A client's ``X-Request-Id`` is adopted only when it matches; any other
+#: value is replaced by a minted id.  The id is echoed, logged, kept in the
+#: slow log and flight recorder and stamped as the OpenMetrics exemplar
+#: label, whose label set is capped at 128 code points.
+_REQUEST_ID = re.compile(r"[A-Za-z0-9._:-]{1,64}")
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Route:
+    """One entry of the route table :data:`_ROUTES`.
+
+    ``methods`` maps each HTTP method to the name of its ``_Handler``
+    method — a name, not a function, so a handler patched on the class is
+    the one called; ``GET`` implies ``HEAD``.  A route with a ``param``
+    matches every path starting with ``path``; its handler gets the
+    trailing segment, and its metrics label ``path + param`` stays one
+    value.  A nonzero ``body_cap`` reads a JSON object body of at most
+    that many bytes and hands it to the handler.  ``kind`` is the path
+    through the service: ``work`` routes are shed while draining, admitted,
+    given their deadline and profiled; ``ops`` routes are only profiled, so
+    an overloaded or draining server stays observable (the drain sequence
+    relies on ``/health``); ``debug`` routes get neither — ``DELETE
+    /debug/profile`` must not wait on itself, and a profile should show
+    serving work.
+    """
+
+    path: str
+    methods: dict[str, str]
+    kind: Literal["work", "ops", "debug"] = "work"
+    body_cap: int = 0
+    param: str = ""
+
+    @property
+    def endpoint(self) -> str:
+        """The metrics ``endpoint`` label."""
+        return self.path + self.param
+
+    @property
+    def allow(self) -> str:
+        """The ``Allow`` header of a ``405`` on this route."""
+        return ", ".join(
+            method for method in _METHODS
+            if method in self.methods or (method == "HEAD" and "GET" in self.methods)
+        )
+
+
+_ROUTES = (
+    _Route("/health", {"GET": "_handle_health"}, kind="ops"),
+    _Route("/metrics", {"GET": "_handle_metrics"}, kind="ops"),
+    _Route("/model", {"GET": "_handle_model_info"}),
+    _Route("/debug/vars", {"GET": "_handle_debug_vars"}, kind="debug"),
+    _Route("/debug/slow", {"GET": "_handle_debug_slow"}, kind="debug"),
+    _Route("/debug/quality", {"GET": "_handle_debug_quality"}, kind="debug"),
+    _Route("/debug/locks", {"GET": "_handle_debug_locks"}, kind="debug"),
+    _Route("/debug/history", {"GET": "_handle_debug_history"}, kind="debug"),
+    _Route("/debug/trace/", {"GET": "_handle_debug_trace"}, kind="debug",
+           param="<request-id>"),
+    _Route("/debug/profile",
+           {"POST": "_handle_profile_start", "DELETE": "_handle_profile_stop"},
+           kind="debug"),
+    _Route("/recommend", {"POST": "_handle_recommend"},
+           body_cap=_MAX_BODY_BYTES),
+    _Route("/recommend/batch", {"POST": "_handle_recommend_batch"},
+           body_cap=_MAX_BATCH_BODY_BYTES),
+    _Route("/spaces", {"POST": "_handle_spaces"}, body_cap=_MAX_BODY_BYTES),
+    _Route("/explain", {"POST": "_handle_explain"}, body_cap=_MAX_BODY_BYTES),
+    _Route("/goals", {"POST": "_handle_goals"}, body_cap=_MAX_BODY_BYTES),
+    _Route("/related", {"POST": "_handle_related"}, body_cap=_MAX_BODY_BYTES),
+    _Route("/model/implementations", {"PUT": "_handle_put_implementations"},
+           body_cap=_MAX_BODY_BYTES),
+    _Route("/model/implementations/", {"DELETE": "_handle_delete_implementation"},
+           param="<id>"),
+)
+_EXACT_ROUTES = {route.path: route for route in _ROUTES if not route.param}
+_PREFIX_ROUTES = tuple(route for route in _ROUTES if route.param)
+#: The ``detail`` of a ``404``: every route's endpoint, by method.
+_ROUTE_LISTING = {
+    method.lower(): [route.endpoint for route in _ROUTES if method in route.methods]
+    for method in ("GET", "POST", "PUT", "DELETE")
+}
+
+
+def _route_for(path: str) -> _Route | None:
+    """The route serving ``path``, or ``None`` for an unknown path."""
+    route = _EXACT_ROUTES.get(path)
+    if route is None:
+        for candidate in _PREFIX_ROUTES:
+            if path.startswith(candidate.path):
+                return candidate
+    return route
+
+
+class _ClientError(Exception):
+    """A request answered with an error envelope instead of its handler's
+    response: raised by the router and the validators, answered once by
+    ``_Handler._dispatch``."""
+
+    def __init__(
+        self, status: int, error: str, detail: object = None,
+        allow: str | None = None,
+    ) -> None:
+        super().__init__(error)
+        self.status = status
+        self.error = error
+        self.detail = detail
+        self.allow = allow
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _RequestRecord:
+    """The facts of one finished request, built once by
+    ``_Handler._dispatch`` and fanned out by ``RecommenderService._record``."""
+
+    request_id: str
+    trace_id: str
+    endpoint: str
+    method: str
+    status: int
+    elapsed: float
+    root: obs.Span | None
+    deadline_stage: str | None
+
 
 _LOG = obs.get_logger("repro.service")
 
@@ -225,11 +341,6 @@ _GUARDED_BY = {
     "RecommenderService._draining": "_inflight_lock",
     "RecommenderService._inflight_lock": "<final>",
 }
-
-#: Routes exempt from admission control and drain shedding: an overloaded
-#: or draining server must stay observable, and the drain sequence itself
-#: relies on ``/health`` flipping to ``draining``.
-_OPS_ROUTES = ("/health", "/metrics")
 
 
 class ModelSnapshot:
@@ -647,58 +758,51 @@ class _Handler(BaseHTTPRequestHandler):
         if self.command != "HEAD":
             self.wfile.write(body)
 
-    def _read_json(self, max_bytes: int = _MAX_BODY_BYTES) -> dict | None:
+    def _read_json(self, max_bytes: int) -> dict:
         raw_length = self.headers.get("Content-Length", "0")
         try:
             length = int(raw_length)
         except (TypeError, ValueError):
             # A malformed header is client error, not a reason to take the
             # handler thread down with a ValueError.
-            self._send_error(
-                400,
-                "malformed Content-Length header",
-                detail=f"got {raw_length!r}",
-            )
-            return None
+            raise _ClientError(
+                400, "malformed Content-Length header", f"got {raw_length!r}"
+            ) from None
         if length <= 0 or length > max_bytes:
-            self._send_error(
+            raise _ClientError(
                 400,
                 "missing or oversized body",
-                detail=f"Content-Length must be in (0, {max_bytes}]",
+                f"Content-Length must be in (0, {max_bytes}]",
             )
-            return None
         try:
             payload = json.loads(self.rfile.read(length))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             # json.loads(bytes) decodes before parsing: a body that is not
             # valid UTF-8 fails there, and is the same client error.
-            self._send_error(400, "invalid JSON body", detail=str(exc))
-            return None
+            raise _ClientError(400, "invalid JSON body", str(exc)) from None
         if not isinstance(payload, dict):
-            self._send_error(
+            raise _ClientError(
                 400,
                 "body must be a JSON object",
-                detail=f"got {type(payload).__name__}",
+                f"got {type(payload).__name__}",
             )
-            return None
         return payload
 
-    def _activity_from(self, payload: dict) -> list | None:
+    @staticmethod
+    def _activity_from(payload: dict) -> list:
         activity = payload.get("activity")
         if not isinstance(activity, list) or not all(
             isinstance(item, str) for item in activity
         ):
-            self._send_error(
+            raise _ClientError(
                 400,
                 "'activity' must be a list of strings",
-                detail="body key 'activity'",
+                "body key 'activity'",
             )
-            return None
         return activity
 
-    def _positive_int_from(
-        self, payload: dict, key: str, default: int
-    ) -> int | None:
+    @staticmethod
+    def _positive_int_from(payload: dict, key: str, default: int) -> int:
         """Validate an optional positive-integer body key, else answer 400.
 
         Booleans are rejected explicitly — ``True`` is an ``int`` to
@@ -710,42 +814,33 @@ class _Handler(BaseHTTPRequestHandler):
             or not isinstance(value, int)
             or value <= 0
         ):
-            self._send_error(
-                400,
-                f"'{key}' must be a positive integer",
-                detail=f"got {value!r}",
+            raise _ClientError(
+                400, f"'{key}' must be a positive integer", f"got {value!r}"
             )
-            return None
         return value
 
-    def _strategy_from(self, payload: dict) -> str | None:
+    @staticmethod
+    def _strategy_from(payload: dict) -> str:
         strategy = payload.get("strategy", "breadth")
         if not isinstance(strategy, str):
-            self._send_error(
-                400, "'strategy' must be a string", detail=f"got {strategy!r}"
+            raise _ClientError(
+                400, "'strategy' must be a string", f"got {strategy!r}"
             )
-            return None
         return strategy
 
-    def _tier_from(self, payload: dict) -> str | None:
+    def _tier_from(self, payload: dict) -> str:
         """The requested serving tier: ``exact`` (default) or ``approx``.
 
         Read from the query string (``?tier=approx``, which wins) or the
-        body key ``tier``; anything else answers 400 and returns ``None``.
+        body key ``tier``; anything else answers 400.
         """
-        params = dict(
-            part.split("=", 1)
-            for part in self._query.split("&")
-            if "=" in part
-        )
-        tier = params.get("tier", payload.get("tier", "exact"))
+        tier = self._query.get("tier", payload.get("tier", "exact"))
         if tier not in _TIERS:
-            self._send_error(
+            raise _ClientError(
                 400,
                 f"'tier' must be one of {', '.join(_TIERS)}",
-                detail=f"got {tier!r}",
+                f"got {tier!r}",
             )
-            return None
         return str(tier)
 
     # ------------------------------------------------------------------
@@ -756,10 +851,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("GET")
 
     def do_HEAD(self) -> None:  # noqa: N802 (stdlib naming)
-        # Without this the stdlib answers 501 with no envelope and no
-        # X-Request-Id.  HEAD routes exactly like GET; the send helpers
-        # suppress the body (self.command == "HEAD") while keeping the
-        # status and headers — including Content-Length — identical.
+        # HEAD routes exactly like GET; the send helpers suppress the body
+        # (self.command == "HEAD") while keeping the status and headers —
+        # including Content-Length — identical.
         self._dispatch("HEAD")
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
@@ -771,26 +865,31 @@ class _Handler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:  # noqa: N802 (stdlib naming)
         self._dispatch("DELETE")
 
-    @staticmethod
-    def _endpoint_label(path: str) -> str:
-        """Metrics endpoint label; parametrized paths collapse to one label."""
-        if (
-            path in _GET_ROUTES or path in _POST_ROUTES
-            or path in _PUT_ROUTES or path == _PROFILE_ROUTE
-        ):
-            return path
-        if path.startswith(_DELETE_PREFIX):
-            return _DELETE_ENDPOINT
-        if path.startswith(_TRACE_PREFIX):
-            return _TRACE_ENDPOINT
-        return "<unknown>"
+    def parse_request(self) -> bool:
+        """Parse the request line and headers, then answer any method
+        without a ``do_*`` handler here: the stdlib would send its own
+        HTML ``501`` with none of the service's headers.  ``False`` tells
+        the stdlib the response is already sent."""
+        if not super().parse_request():
+            return False
+        if self.command in _METHODS:
+            return True
+        self._dispatch("other")
+        return False
 
     def _dispatch(self, method: str) -> None:
-        """Route one request with request-id, span, metrics and error envelope."""
-        path, _, self._query = self.path.partition("?")
-        self._request_id = self.headers.get(
-            "X-Request-Id"
-        ) or obs.new_request_id()
+        """Serve one request with request id, trace context, span, error
+        envelope and one request record."""
+        path, _, query = self.path.partition("?")
+        self._query = dict(
+            part.split("=", 1) for part in query.split("&") if "=" in part
+        )
+        client_id = self.headers.get("X-Request-Id")
+        self._request_id = (
+            client_id
+            if client_id is not None and _REQUEST_ID.fullmatch(client_id)
+            else obs.new_request_id()
+        )
         # W3C trace context: a valid incoming traceparent pins the trace
         # id and flags; otherwise mint a fresh trace.  The span id is
         # always ours — it names this hop in the echoed header.
@@ -804,135 +903,149 @@ class _Handler(BaseHTTPRequestHandler):
         self._span_id = obs.new_span_id()
         self._status = 0
         self._deadline_stage: str | None = None
-        endpoint = self._endpoint_label(path)
+        route = _route_for(path)
+        endpoint = route.endpoint if route is not None else "<unknown>"
         start = time.perf_counter()
         self.service._publish_inflight(1)
         root: obs.Span | None = None
         with obs.request_context(self._request_id), \
                 obs.trace_context(self._trace_id):
             try:
-                try:
-                    with obs.trace_span(
-                        "http.request", endpoint=endpoint, method=method,
-                        request_id=self._request_id,
-                        trace_id=self._trace_id,
-                    ) as span:
-                        if isinstance(span, obs.Span):
-                            root = span
-                        try:
-                            if path.startswith("/debug/"):
-                                # Never profile the debug surface: DELETE
-                                # /debug/profile must not wait on itself,
-                                # and the report should show serving work.
-                                self._route(method, path)
-                            else:
-                                self._route_resilient(method, path)
-                        except DeadlineExceededError as exc:
-                            # Before the ReproError arm: an expired
-                            # deadline is 504 with the stage reached, not
-                            # a 422 domain error.
-                            self._deadline_stage = exc.stage
-                            record_deadline_exceeded(exc.stage)
+                with obs.trace_span(
+                    "http.request", endpoint=endpoint, method=method,
+                    request_id=self._request_id, trace_id=self._trace_id,
+                ) as span:
+                    if isinstance(span, obs.Span):
+                        root = span
+                    try:
+                        self._serve(route, method, path)
+                    except _ClientError as exc:
+                        self._send_error(
+                            exc.status, exc.error, detail=exc.detail,
+                            allow=exc.allow,
+                        )
+                    except DeadlineExceededError as exc:
+                        # Before the ReproError arm: an expired deadline is
+                        # 504 with the stage reached, not a 422 domain
+                        # error.
+                        self._deadline_stage = exc.stage
+                        record_deadline_exceeded(exc.stage)
+                        self._send_error(
+                            504, "deadline exceeded", detail=str(exc)
+                        )
+                    except ReproError as exc:
+                        self._send_error(
+                            422, str(exc), detail=type(exc).__name__
+                        )
+                    except (BrokenPipeError, ConnectionResetError):
+                        raise  # handled below, bypassing the 500 path
+                    except Exception as exc:  # keep the handler thread alive
+                        obs.log_event(
+                            _LOG, "http.error", level=40, endpoint=endpoint,
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
+                        if not self._status:
                             self._send_error(
-                                504, "deadline exceeded", detail=str(exc)
+                                500,
+                                "internal server error",
+                                detail=f"{type(exc).__name__}: {exc}",
                             )
-                        except ReproError as exc:
-                            self._send_error(
-                                422, str(exc), detail=type(exc).__name__
-                            )
-                        except (BrokenPipeError, ConnectionResetError):
-                            raise  # handled below, bypassing the 500 path
-                        except Exception as exc:  # keep the handler thread alive
-                            obs.log_event(
-                                _LOG, "http.error", level=40,
-                                endpoint=endpoint,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                            if not self._status:
-                                self._send_error(
-                                    500,
-                                    "internal server error",
-                                    detail=f"{type(exc).__name__}: {exc}",
-                                )
-                        span.set_attr("status", self._status)
-                        if self._deadline_stage is not None:
-                            span.set_attr(
-                                "deadline_stage", self._deadline_stage
-                            )
-                except (BrokenPipeError, ConnectionResetError):
-                    # The client went away mid-request (possibly while an
-                    # error response was being written): there is nobody
-                    # left to answer, and propagating would make
-                    # socketserver print a traceback.  Record the
-                    # nginx-style 499 sentinel instead of the meaningless
-                    # initial 0.
-                    self._status = 499
+                    span.set_attr("status", self._status)
+                    if self._deadline_stage is not None:
+                        span.set_attr("deadline_stage", self._deadline_stage)
+            except (BrokenPipeError, ConnectionResetError):
+                # The client went away mid-request (possibly while an error
+                # response was being written): there is nobody left to
+                # answer, and propagating would make socketserver print a
+                # traceback.  Record the nginx-style 499 sentinel instead
+                # of the meaningless initial 0.
+                self._status = 499
             finally:
                 # Record inside the request context so the http.request log
                 # line carries the request_id for correlation (and the
                 # latency histograms pick it up as their exemplar).
-                elapsed = time.perf_counter() - start
-                self.service._record_request(
-                    endpoint, method, self._status, elapsed
-                )
-                self.service._record_slow(
-                    self._request_id, endpoint, method, self._status,
-                    elapsed, root, trace_id=self._trace_id,
-                )
-                self.service._record_telemetry(
-                    self._request_id, endpoint, method, self._status,
-                    elapsed, root, trace_id=self._trace_id,
-                )
+                self.service._record(_RequestRecord(
+                    self._request_id, self._trace_id, endpoint, method,
+                    self._status, time.perf_counter() - start, root,
+                    self._deadline_stage,
+                ))
                 self.service._publish_inflight(-1)
+
+    def _serve(self, route: _Route | None, method: str, path: str) -> None:
+        """Resolve the handler — unsupported method, unknown path and wrong
+        method are answered here, before admission — then run it on the
+        route kind's path."""
+        if method == "other":
+            raise _ClientError(
+                501, "method not implemented",
+                f"{self.command} is not supported; use one of "
+                f"{', '.join(_METHODS)}",
+            )
+        if route is None:
+            raise _ClientError(404, f"unknown path {path}", _ROUTE_LISTING)
+        handler = route.methods.get("GET" if method == "HEAD" else method)
+        if handler is None:
+            allow = route.allow
+            raise _ClientError(
+                405, "method not allowed", f"{route.endpoint} supports {allow}",
+                allow=allow,
+            )
+        if route.kind == "work":
+            self._admit_and_run(route, handler, path)
+        elif route.kind == "ops":
+            self.service.profile_session.profile_call(
+                self._run, route, handler, path
+            )
+        else:
+            self._run(route, handler, path)
+
+    def _run(self, route: _Route, handler: str, path: str) -> None:
+        """Call ``handler`` with the route's JSON body or trailing path
+        segment, if it takes one."""
+        if route.body_cap:
+            getattr(self, handler)(self._read_json(route.body_cap))
+        elif route.param:
+            getattr(self, handler)(path[len(route.path):])
+        else:
+            getattr(self, handler)()
 
     # ------------------------------------------------------------------
     # Resilience front: draining, admission, deadlines
     # ------------------------------------------------------------------
 
-    _INVALID_DEADLINE = object()
-
-    def _deadline_from_header(self) -> object:
-        """The request's deadline: a :class:`Deadline`, ``None``, or the
-        ``_INVALID_DEADLINE`` sentinel after a 400 was already sent.
+    def _deadline_from_header(self) -> Deadline | None:
+        """The request's deadline, or ``None`` for none.
 
         ``X-Request-Deadline-Ms`` must be a positive, finite number of
-        milliseconds; absent, the service's ``default_deadline_ms``
-        applies (itself possibly ``None`` = no deadline).
+        milliseconds, else the request answers 400; absent, the service's
+        ``default_deadline_ms`` applies (itself possibly ``None`` = no
+        deadline).
         """
         raw = self.headers.get("X-Request-Deadline-Ms")
         if raw is None:
             default = self.service.default_deadline_ms
-            if default is None:
-                return None
-            return Deadline.after_ms(default)
+            return None if default is None else Deadline.after_ms(default)
         try:
             budget_ms = float(raw)
         except ValueError:
             budget_ms = float("nan")
         if not budget_ms > 0 or budget_ms == float("inf"):
-            self._send_error(
+            raise _ClientError(
                 400,
                 "malformed X-Request-Deadline-Ms header",
-                detail=f"must be a positive number of milliseconds, "
-                       f"got {raw!r}",
+                f"must be a positive number of milliseconds, got {raw!r}",
             )
-            return self._INVALID_DEADLINE
         return Deadline.after_ms(budget_ms)
 
-    def _route_resilient(self, method: str, path: str) -> None:
-        """Route a non-debug request through the resilience front.
+    def _admit_and_run(self, route: _Route, handler: str, path: str) -> None:
+        """Run a work route through the resilience front.
 
-        Ops routes bypass everything — an overloaded or draining server
-        must keep answering ``/health`` and ``/metrics``.  Work routes are
-        shed with ``503`` while draining and ``429`` once the admission
-        controller is saturated (both with ``Retry-After``); admitted
-        requests run under their deadline scope so every pipeline
-        checkpoint below can see it.
+        Work routes are shed with ``503`` while draining and ``429`` once
+        the admission controller is saturated (both with
+        ``Retry-After``); admitted requests run under their deadline scope
+        so every pipeline checkpoint below can see it.
         """
         service = self.service
-        if path in _OPS_ROUTES:
-            service.profile_session.profile_call(self._route, method, path)
-            return
         if service.is_draining():
             record_shed("draining")
             self._send_error(
@@ -943,9 +1056,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         deadline = self._deadline_from_header()
-        if deadline is self._INVALID_DEADLINE:
-            return
-        assert deadline is None or isinstance(deadline, Deadline)
         admitted, reason = service.admission.try_acquire(deadline)
         if not admitted:
             record_shed(reason or "saturated")
@@ -961,100 +1071,10 @@ class _Handler(BaseHTTPRequestHandler):
                 if deadline is not None:
                     deadline.check("admission")
                 service.profile_session.profile_call(
-                    self._route, method, path
+                    self._run, route, handler, path
                 )
         finally:
             service.admission.release()
-
-    def _method_not_allowed(self, path: str, allow: str) -> None:
-        self._send_error(
-            405,
-            "method not allowed",
-            detail=f"{path} supports {allow}",
-            allow=allow,
-        )
-
-    def _route(self, method: str, path: str) -> None:
-        if path in _GET_ROUTES:
-            if method not in ("GET", "HEAD"):
-                self._method_not_allowed(path, "GET, HEAD")
-                return
-            if path == "/health":
-                self._handle_health()
-            elif path == "/model":
-                self._handle_model_info()
-            elif path == "/debug/vars":
-                self._handle_debug_vars()
-            elif path == "/debug/slow":
-                self._handle_debug_slow()
-            elif path == "/debug/quality":
-                self._handle_debug_quality()
-            elif path == "/debug/locks":
-                self._handle_debug_locks()
-            elif path == "/debug/history":
-                self._handle_debug_history()
-            else:
-                self._handle_metrics()
-            return
-        if path.startswith(_TRACE_PREFIX):
-            if method not in ("GET", "HEAD"):
-                self._method_not_allowed(_TRACE_ENDPOINT, "GET, HEAD")
-                return
-            self._handle_debug_trace(path[len(_TRACE_PREFIX):])
-            return
-        if path == _PROFILE_ROUTE:
-            if method == "POST":
-                self._handle_profile_start()
-            elif method == "DELETE":
-                self._handle_profile_stop()
-            else:
-                self._method_not_allowed(path, "POST, DELETE")
-            return
-        if path in _POST_ROUTES:
-            if method != "POST":
-                self._method_not_allowed(path, "POST")
-                return
-            payload = self._read_json(
-                _MAX_BATCH_BODY_BYTES if path == "/recommend/batch"
-                else _MAX_BODY_BYTES
-            )
-            if payload is None:
-                return
-            handlers = {
-                "/recommend": self._handle_recommend,
-                "/recommend/batch": self._handle_recommend_batch,
-                "/spaces": self._handle_spaces,
-                "/explain": self._handle_explain,
-                "/goals": self._handle_goals,
-                "/related": self._handle_related,
-            }
-            handlers[path](payload)
-            return
-        if path in _PUT_ROUTES:
-            if method != "PUT":
-                self._method_not_allowed(path, "PUT")
-                return
-            payload = self._read_json()
-            if payload is None:
-                return
-            self._handle_put_implementations(payload)
-            return
-        if path.startswith(_DELETE_PREFIX):
-            if method != "DELETE":
-                self._method_not_allowed(_DELETE_ENDPOINT, "DELETE")
-                return
-            self._handle_delete_implementation(path[len(_DELETE_PREFIX):])
-            return
-        self._send_error(
-            404,
-            f"unknown path {path}",
-            detail={
-                "get": [*_GET_ROUTES, _TRACE_ENDPOINT],
-                "post": [*_POST_ROUTES, _PROFILE_ROUTE],
-                "put": list(_PUT_ROUTES),
-                "delete": [_DELETE_ENDPOINT, _PROFILE_ROUTE],
-            },
-        )
 
     # ------------------------------------------------------------------
     # Routes
@@ -1121,9 +1141,7 @@ class _Handler(BaseHTTPRequestHandler):
         if history is None:
             self._send_json(200, {"enabled": False})
             return
-        params = dict(
-            part.split("=", 1) for part in self._query.split("&") if "=" in part
-        )
+        params = self._query
         family = params.get("family")
         if family is None:
             self._send_json(200, {"enabled": True, **history.index()})
@@ -1132,106 +1150,84 @@ class _Handler(BaseHTTPRequestHandler):
             window = float(params["window"]) if "window" in params else None
             step = float(params["step"]) if "step" in params else None
         except ValueError:
-            self._send_error(
+            raise _ClientError(
                 400,
                 "'window' and 'step' must be numbers of seconds",
-                detail=f"got window={params.get('window')!r} "
-                       f"step={params.get('step')!r}",
-            )
-            return
+                f"got window={params.get('window')!r} "
+                f"step={params.get('step')!r}",
+            ) from None
         try:
             series = history.series(family, window=window, step=step)
         except ValueError as exc:
-            self._send_error(400, "invalid history query", detail=str(exc))
-            return
+            raise _ClientError(400, "invalid history query", str(exc)) from None
         if series is None:
-            self._send_error(
+            raise _ClientError(
                 404,
                 f"no history for family {family!r}",
-                detail={"families": history.families()},
+                {"families": history.families()},
             )
-            return
         self._send_json(200, series)
 
     def _handle_debug_trace(self, key: str) -> None:
         found = self.service.debug_trace(key)
         if not found["spans"] and not found["slow"]:
-            self._send_error(
+            raise _ClientError(
                 404,
                 f"no retained trace for {key!r}",
-                detail="the span ring buffer and slow log hold a bounded "
-                       "window; older requests age out",
+                "the span ring buffer and slow log hold a bounded window; "
+                "older requests age out",
             )
-            return
         self._send_json(200, found)
 
     def _handle_profile_start(self) -> None:
         try:
             self.service.profile_session.start()
         except RuntimeError as exc:
-            self._send_error(409, str(exc), detail="ProfileSession")
-            return
+            raise _ClientError(409, str(exc), "ProfileSession") from None
         self.service._set_profile_active(1)
         obs.log_event(_LOG, "profile.start")
         self._send_json(200, {"profiling": True})
 
     def _handle_profile_stop(self) -> None:
-        params = dict(
-            part.split("=", 1) for part in self._query.split("&") if "=" in part
-        )
-        sort = params.get("sort", "cumulative")
+        sort = self._query.get("sort", "cumulative")
         if sort not in _PROFILE_SORTS:
-            self._send_error(
+            raise _ClientError(
                 400,
                 f"'sort' must be one of {', '.join(_PROFILE_SORTS)}",
-                detail=f"got {sort!r}",
+                f"got {sort!r}",
             )
-            return
-        raw_limit = params.get("limit", "40")
+        raw_limit = self._query.get("limit", "40")
         try:
             limit = int(raw_limit)
         except ValueError:
             limit = 0
         if limit <= 0:
-            self._send_error(
-                400,
-                "'limit' must be a positive integer",
-                detail=f"got {raw_limit!r}",
+            raise _ClientError(
+                400, "'limit' must be a positive integer", f"got {raw_limit!r}"
             )
-            return
         try:
             report = self.service.profile_session.stop(sort=sort, limit=limit)
         except RuntimeError as exc:
-            self._send_error(404, str(exc), detail="ProfileSession")
-            return
+            raise _ClientError(404, str(exc), "ProfileSession") from None
         self.service._set_profile_active(0)
         obs.log_event(_LOG, "profile.stop", sort=sort, limit=limit)
         self._send_text(200, report, "text/plain; charset=utf-8")
 
     def _handle_recommend(self, payload: dict) -> None:
         activity = self._activity_from(payload)
-        if activity is None:
-            return
         k = self._positive_int_from(payload, "k", 10)
-        if k is None:
-            return
         strategy = self._strategy_from(payload)
-        if strategy is None:
-            return
         tier = self._tier_from(payload)
-        if tier is None:
-            return
         if tier == "approx":
             # Only Breadth has a pruned tier; a request pairing
             # tier=approx with another strategy is a contradiction, not a
             # silent fallback to exact.
             if strategy != "breadth":
-                self._send_error(
+                raise _ClientError(
                     400,
                     "tier 'approx' requires strategy 'breadth'",
-                    detail=f"got strategy {strategy!r}",
+                    f"got strategy {strategy!r}",
                 )
-                return
             strategy = "breadth_pruned"
         result, cached, generation = self.service.manager.recommend(
             activity, k=k, strategy=strategy
@@ -1257,33 +1253,26 @@ class _Handler(BaseHTTPRequestHandler):
             and all(isinstance(item, str) for item in activity)
             for activity in activities
         ):
-            self._send_error(
+            raise _ClientError(
                 400,
                 "'activities' must be a list of lists of strings",
-                detail="body key 'activities'",
+                "body key 'activities'",
             )
-            return
         if len(activities) > _MAX_BATCH_ACTIVITIES:
-            self._send_error(
+            raise _ClientError(
                 400,
                 "batch too large",
-                detail=f"at most {_MAX_BATCH_ACTIVITIES} activities "
-                       f"per request, got {len(activities)}",
+                f"at most {_MAX_BATCH_ACTIVITIES} activities per request, "
+                f"got {len(activities)}",
             )
-            return
         k = self._positive_int_from(payload, "k", 10)
-        if k is None:
-            return
         strategy = self._strategy_from(payload)
-        if strategy is None:
-            return
         if strategy not in PAPER_STRATEGIES:
-            self._send_error(
+            raise _ClientError(
                 400,
                 f"'strategy' must be one of {', '.join(PAPER_STRATEGIES)}",
-                detail=f"got {strategy!r}",
+                f"got {strategy!r}",
             )
-            return
         snap = self.service.manager.snapshot()
         start = time.perf_counter()
         batch = snap.engine
@@ -1323,8 +1312,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_spaces(self, payload: dict) -> None:
         activity = self._activity_from(payload)
-        if activity is None:
-            return
         snap = self.service.manager.snapshot()
         if snap.recommender is None:
             self._send_json(200, {"goal_space": [], "action_space": []})
@@ -1344,12 +1331,8 @@ class _Handler(BaseHTTPRequestHandler):
         from repro.core.goal_inference import GoalInferencer
 
         activity = self._activity_from(payload)
-        if activity is None:
-            return
         scorer = payload.get("scorer", "coverage")
         top = self._positive_int_from(payload, "top", 10)
-        if top is None:
-            return
         snap = self.service.manager.snapshot()
         if snap.frozen is None:
             self._send_json(200, {"scorer": scorer, "goals": []})
@@ -1357,8 +1340,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             inferencer = GoalInferencer(snap.recommender.model, scorer=scorer)
         except ValueError as exc:
-            self._send_error(400, str(exc), detail="body key 'scorer'")
-            return
+            raise _ClientError(400, str(exc), "body key 'scorer'") from None
         inferred = inferencer.infer(activity, top=top)
         self._send_json(
             200,
@@ -1371,27 +1353,29 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
+    @staticmethod
+    def _action_from(payload: dict) -> str:
+        action = payload.get("action")
+        if not isinstance(action, str):
+            raise _ClientError(400, "'action' must be a string", f"got {action!r}")
+        return action
+
+    def _live_recommender(self) -> GoalRecommender:
+        """The current generation's recommender; 422 when no
+        implementation is live."""
+        recommender = self.service.manager.snapshot().recommender
+        if recommender is None:
+            raise _ClientError(
+                422, "model has no live implementations", "ModelError"
+            )
+        return recommender
+
     def _handle_related(self, payload: dict) -> None:
         from repro.core.related import related_actions
 
-        action = payload.get("action")
-        if not isinstance(action, str):
-            self._send_error(
-                400, "'action' must be a string", detail=f"got {action!r}"
-            )
-            return
+        action = self._action_from(payload)
         k = self._positive_int_from(payload, "k", 10)
-        if k is None:
-            return
-        snap = self.service.manager.snapshot()
-        if snap.frozen is None:
-            self._send_error(
-                422,
-                "model has no live implementations",
-                detail="ModelError",
-            )
-            return
-        related = related_actions(snap.recommender.model, action, k=k)
+        related = related_actions(self._live_recommender().model, action, k=k)
         self._send_json(
             200,
             {
@@ -1405,23 +1389,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_explain(self, payload: dict) -> None:
         activity = self._activity_from(payload)
-        if activity is None:
-            return
-        action = payload.get("action")
-        if not isinstance(action, str):
-            self._send_error(
-                400, "'action' must be a string", detail=f"got {action!r}"
-            )
-            return
-        snap = self.service.manager.snapshot()
-        if snap.recommender is None:
-            self._send_error(
-                422,
-                "model has no live implementations",
-                detail="ModelError",
-            )
-            return
-        evidence = snap.recommender.explain(activity, action)
+        action = self._action_from(payload)
+        evidence = self._live_recommender().explain(activity, action)
         self._send_json(
             200,
             {
@@ -1440,12 +1409,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_put_implementations(self, payload: dict) -> None:
         raw = payload.get("implementations")
         if not isinstance(raw, list) or not raw:
-            self._send_error(
+            raise _ClientError(
                 400,
                 "'implementations' must be a non-empty list",
-                detail="body key 'implementations'",
+                "body key 'implementations'",
             )
-            return
         pairs: list[tuple[GoalLabel, list[ActionLabel]]] = []
         for index, item in enumerate(raw):
             if (
@@ -1455,13 +1423,12 @@ class _Handler(BaseHTTPRequestHandler):
                 or not item["actions"]
                 or not all(isinstance(a, str) for a in item["actions"])
             ):
-                self._send_error(
+                raise _ClientError(
                     400,
                     "each implementation needs a 'goal' string and a "
                     "non-empty 'actions' list of strings",
-                    detail=f"implementations[{index}]",
+                    f"implementations[{index}]",
                 )
-                return
             pairs.append((item["goal"], item["actions"]))
         ids, snap = self.service.manager.add_implementations(pairs)
         self._send_json(
@@ -1478,17 +1445,13 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             pid = int(suffix)
         except ValueError:
-            self._send_error(
-                400,
-                "implementation id must be an integer",
-                detail=f"got {suffix!r}",
-            )
-            return
+            raise _ClientError(
+                400, "implementation id must be an integer", f"got {suffix!r}"
+            ) from None
         try:
             snap = self.service.manager.remove_implementation(pid)
         except ModelError as exc:
-            self._send_error(404, str(exc), detail=type(exc).__name__)
-            return
+            raise _ClientError(404, str(exc), type(exc).__name__) from None
         self._send_json(
             200,
             {
@@ -1799,37 +1762,6 @@ class RecommenderService:
             )
         self.quality.drift.set_baseline(baseline)
 
-    def _record_request(
-        self, endpoint: str, method: str, status: int, elapsed: float
-    ) -> None:
-        """Account one handled request in the registry and the logs."""
-        if obs.quality_enabled():
-            # 5xx burns the availability budget; client errors and the 499
-            # client-went-away sentinel do not.
-            self.slo.observe(status >= 500, elapsed)
-        registry = self.registry
-        registry.counter(
-            "repro_http_requests_total",
-            "HTTP requests served, by endpoint, method and status.",
-            endpoint=endpoint, method=method, status=str(status),
-        ).inc()
-        if status >= 400:
-            registry.counter(
-                "repro_http_errors_total",
-                "HTTP error responses (status >= 400), by endpoint and status.",
-                endpoint=endpoint, status=str(status),
-            ).inc()
-        registry.histogram(
-            "repro_http_request_seconds",
-            "Wall-clock request handling time, by endpoint.",
-            endpoint=endpoint,
-        ).observe(elapsed)
-        obs.log_event(
-            _LOG, "http.request", level=20,
-            endpoint=endpoint, method=method, status=status,
-            seconds=round(elapsed, 6),
-        )
-
     def _publish_inflight(self, delta: int) -> None:
         """Track one request entering (+1) or leaving (-1) the handler."""
         with self._inflight_lock:
@@ -1918,61 +1850,67 @@ class RecommenderService:
         )
         return not dropped
 
-    def _record_telemetry(
-        self,
-        request_id: str,
-        endpoint: str,
-        method: str,
-        status: int,
-        elapsed: float,
-        root: "obs.Span | None",
-        trace_id: str | None = None,
-    ) -> None:
-        """Offer one finished request to the flight recorder (if configured).
+    def _record(self, record: _RequestRecord) -> None:
+        """Account one finished request, in order: SLO, counters,
+        histogram and log line; the slow log; the flight recorder.
 
-        The span tree is serialized only for requests the head-based
-        sampler admits — ``to_dict()`` walks the whole tree and would
-        otherwise dominate the exporter's overhead budget.
+        The span tree is serialized only for a request past the slow
+        threshold or admitted by the recorder's head-based sampler —
+        ``to_dict()`` walks the whole tree, and fast unsampled requests
+        never pay for it.
         """
-        recorder = self.recorder
-        if recorder is None:
-            return
-        spans = None
-        if root is not None and recorder.should_sample(request_id):
-            spans = [root.to_dict()]
-        recorder.record_request(
-            request_id, endpoint, method, status, elapsed, spans=spans,
-            trace_id=trace_id,
-        )
-
-    def _record_slow(
-        self,
-        request_id: str,
-        endpoint: str,
-        method: str,
-        status: int,
-        elapsed: float,
-        root: "obs.Span | None",
-        trace_id: str | None = None,
-    ) -> None:
-        """Log and count one request if it crossed the slow threshold.
-
-        The span tree is serialized only past the threshold check, so
-        fast requests never pay for ``to_dict()``'s walk of the tree.
-        """
-        if elapsed < self.slow_log.threshold_seconds:
-            return
-        spans = [root.to_dict()] if root is not None else []
-        self.slow_log.offer(
-            request_id, endpoint, method, status, elapsed, spans,
-            trace_id=trace_id,
-        )
-        if obs.metrics_enabled():
-            self.registry.counter(
-                "repro_slow_requests_total",
-                "Requests at or above the slow-log threshold, by endpoint.",
-                endpoint=endpoint,
+        endpoint, method = record.endpoint, record.method
+        status, elapsed, root = record.status, record.elapsed, record.root
+        if obs.quality_enabled():
+            # 5xx burns the availability budget; client errors and the 499
+            # client-went-away sentinel do not.
+            self.slo.observe(status >= 500, elapsed)
+        registry = self.registry
+        registry.counter(
+            "repro_http_requests_total",
+            "HTTP requests served, by endpoint, method and status.",
+            endpoint=endpoint, method=method, status=str(status),
+        ).inc()
+        if status >= 400:
+            registry.counter(
+                "repro_http_errors_total",
+                "HTTP error responses (status >= 400), by endpoint and status.",
+                endpoint=endpoint, status=str(status),
             ).inc()
+        registry.histogram(
+            "repro_http_request_seconds",
+            "Wall-clock request handling time, by endpoint.",
+            endpoint=endpoint,
+        ).observe(elapsed)
+        stage = {} if record.deadline_stage is None else {
+            "deadline_stage": record.deadline_stage
+        }
+        obs.log_event(
+            _LOG, "http.request", level=20,
+            endpoint=endpoint, method=method, status=status,
+            seconds=round(elapsed, 6), **stage,
+        )
+        if elapsed >= self.slow_log.threshold_seconds:
+            self.slow_log.offer(
+                record.request_id, endpoint, method, status, elapsed,
+                [root.to_dict()] if root is not None else [],
+                trace_id=record.trace_id,
+            )
+            if obs.metrics_enabled():
+                registry.counter(
+                    "repro_slow_requests_total",
+                    "Requests at or above the slow-log threshold, by endpoint.",
+                    endpoint=endpoint,
+                ).inc()
+        recorder = self.recorder
+        if recorder is not None:
+            spans = None
+            if root is not None and recorder.should_sample(record.request_id):
+                spans = [root.to_dict()]
+            recorder.record_request(
+                record.request_id, endpoint, method, status, elapsed,
+                spans=spans, trace_id=record.trace_id,
+            )
 
     def _set_profile_active(self, value: int) -> None:
         """Publish the cProfile-session state gauge (1 active, 0 idle)."""
