@@ -46,7 +46,7 @@ def serving(request):
     activities = [base[i % len(base)] for i in range(WORKLOAD)]
     service = RecommenderService(
         harness.model, port=0, enable_metrics=False,
-        cache_size=0, space_cache_size=0,
+        cache_size=0,
     ).start()
     yield service, activities
     service.stop()

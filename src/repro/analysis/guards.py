@@ -5,7 +5,7 @@ A module that owns lock-protected state declares it in a module-level map::
     _GUARDED_BY = {
         "LRUCache._data": "_lock",              # with self._lock: only
         "IncrementalGoalModel._dedup": "<caller>",  # owner's methods only
-        "CachedModelView._cache": "<final>",    # assigned in __init__ only
+        "CachedModelView._engine": "<final>",   # assigned in __init__ only
     }
 
 Three guard kinds:

@@ -1,8 +1,9 @@
 """RL002 — strategy purity: rankers stay pure functions of ``(model, H)``.
 
-Every result cache in the serving layer (the recommendation LRU, the
-memoized ``implementation_space`` view) is only sound because a strategy's
-output depends on nothing but the model generation and its inputs.  A
+The serving layer's result cache (the recommendation LRU, keyed on the
+model generation) is only sound because a strategy's output depends on
+nothing but the model generation and its inputs, and one generation's
+model and engine are shared by every request thread.  A
 strategy that mutates itself, the model, or — subtly — an index *set the
 model handed out by reference* breaks that contract without failing any
 unit test.
@@ -18,8 +19,9 @@ method except ``__init__``:
   ``update``, ``add`` ...) on a tainted receiver is a violation.  Taint
   propagates through plain assignment: ``space =
   model.implementation_space(H)`` taints ``space``, so ``space.add(aid)``
-  is caught — that set is the model's cached index, not a private copy
-  (``space = set(model.implementation_space(H))`` copies, and the
+  is caught — a model may hand out its own index sets by reference, so
+  the strategy must treat every returned set as shared, not a private
+  copy (``space = set(model.implementation_space(H))`` copies, and the
   constructor call breaks the taint chain).
 
 Local accumulators (``scores = {}``, ``heap = []``) stay fully mutable.

@@ -3,8 +3,8 @@
 A :class:`BenchmarkSpec` names one deterministic workload and a callable
 producing ``{metric_name: Metric}``.  The *smoke* suite is small enough for
 CI (a few seconds end to end) yet covers the hot pipeline: the four paper
-strategies, the three association-space queries, the evaluation protocol,
-the implementation-space memo and the observability overhead ratio.
+strategies, the three association-space queries, the evaluation protocol
+and the observability overhead ratio.
 
 Every gated metric is machine independent — counts, CRC32 checksums over
 the ranked output, protocol metrics with tight relative bands, and one
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.approximate import PrunedBreadthStrategy, recall_at_k
-from repro.core.caching import CachedModelView, LRUCache
+from repro.core.caching import CachedModelView
 from repro.core.entities import ActionLabel
 from repro.core.recommender import PAPER_STRATEGIES, GoalRecommender
 from repro.data import FoodMartConfig, generate_foodmart
@@ -153,25 +153,6 @@ def _bench_evaluation_protocol(
         time.perf_counter() - start, kind="info"
     )
     return metrics
-
-
-def _bench_space_cache(harness: ExperimentHarness) -> dict[str, Metric]:
-    cache = LRUCache(256, name="bench_space")
-    view = CachedModelView(harness.model, cache=cache)
-    activities = [
-        harness.model.encode_activity(a)
-        for a in harness.observed_activities()
-    ]
-    start = time.perf_counter()
-    for _ in range(2):  # second pass must hit the memo for every activity
-        for encoded in activities:
-            view.implementation_space(encoded)
-    stats = cache.stats()
-    return {
-        "hits": Metric(float(stats.hits)),
-        "misses": Metric(float(stats.misses)),
-        "wall_seconds": Metric(time.perf_counter() - start, kind="info"),
-    }
 
 
 def _bench_obs_overhead(harness: ExperimentHarness) -> dict[str, Metric]:
@@ -374,8 +355,8 @@ def _bench_lock_sanitizer(harness: ExperimentHarness) -> dict[str, Metric]:
         incremental = IncrementalGoalModel.from_library(
             harness.model.to_library()
         )
-        # Unit caches: every request runs real scoring, not a lock loop.
-        return ModelManager(incremental, cache_size=1, space_cache_size=1)
+        # A unit cache: every request runs real scoring, not a lock loop.
+        return ModelManager(incremental, cache_size=1)
 
     def run_once(manager: ModelManager) -> float:
         start = time.perf_counter()
@@ -490,11 +471,7 @@ def _bench_shared_arena(harness: ExperimentHarness) -> dict[str, Metric]:
         "arena_bytes": Metric(float(arena.size_bytes), kind="info"),
     }
     rebuilt = BatchRecommender.from_arrays(harness.model, arena.views())
-    view = CachedModelView(
-        harness.model,
-        cache=LRUCache(256, name="bench_arena"),
-        engine=rebuilt,
-    )
+    view = CachedModelView(harness.model, engine=rebuilt)
     shared = GoalRecommender(view)
     parity = 1.0
     for strategy in ("best_match", "breadth"):
@@ -539,11 +516,6 @@ _SMOKE_SUITE: tuple[BenchmarkSpec, ...] = (
         "evaluation_protocol",
         "average TPR of breadth and focus_cmp under the paper protocol",
         _bench_evaluation_protocol,
-    ),
-    BenchmarkSpec(
-        "space_cache",
-        "implementation-space memo hits/misses over a repeated pass",
-        _bench_space_cache,
     ),
     BenchmarkSpec(
         "obs_overhead",

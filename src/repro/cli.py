@@ -184,10 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recommendation LRU capacity (0 disables result caching)",
     )
     serve.add_argument(
-        "--space-cache-size", type=int, default=4096,
-        help="implementation-space memo capacity (0 disables the memo)",
-    )
-    serve.add_argument(
         "--approx-budget", type=int, default=128,
         help="per-action posting-list cap of the ?tier=approx recommend "
              "path (see docs/performance.md)",
@@ -574,7 +570,6 @@ def _cmd_serve(args: argparse.Namespace, block: bool = True) -> int:
         # getattr: tests drive this with hand-built Namespace objects that
         # predate the cache flags.
         cache_size=getattr(args, "cache_size", 1024),
-        space_cache_size=getattr(args, "space_cache_size", 4096),
         approx_budget=getattr(args, "approx_budget", 128),
         enable_tracing=not getattr(args, "no_tracing", False),
         enable_exemplars=not getattr(args, "no_exemplars", False),

@@ -2,16 +2,10 @@
 
 The reference strategies recompute the implementation space ``IS(H)`` and the
 full ranking on every request.  At serving scale (the paper motivates the
-index structures with a 20K-cart FoodMart workload) two observations make a
-cache pay for itself:
-
-- activities repeat — carts cluster around popular product combinations, so
-  a small LRU keyed on ``(generation, strategy, frozen activity, k)``
-  answers a large fraction of ``/recommend`` traffic without ranking at
-  all;
-- distinct activities overlap — different requests share ``IS(H)``
-  sub-queries, so memoizing ``implementation_space`` accelerates even cache
-  *misses*.
+index structures with a 20K-cart FoodMart workload) activities repeat —
+carts cluster around popular product combinations, so a small LRU keyed on
+``(generation, strategy, frozen activity, k)`` answers a large fraction of
+``/recommend`` traffic without ranking at all.
 
 Three pieces live here:
 
@@ -19,16 +13,15 @@ Three pieces live here:
   counters and a lookup-latency histogram registered in :mod:`repro.obs`
   (families ``repro_cache_*``, labelled by cache name);
 - :class:`CachedModelView` — a read-only proxy over an
-  :class:`~repro.core.model.AssociationGoalModel` that memoizes
-  ``implementation_space`` (and the ``GS``/``AS`` queries derived from it)
-  through an :class:`LRUCache` and carries the generation's CSR engine;
+  :class:`~repro.core.model.AssociationGoalModel` that carries the
+  generation's CSR engine and answers ``IS``/``GS``/``AS`` from it;
 - :class:`CachingRecommender` — a :class:`~repro.core.recommender.GoalRecommender`
   wrapper that consults the recommendation LRU before ranking.
 
-All caches are invalidated wholesale by the serving layer's *generation
-counter* when the model mutates (see ``docs/serving.md``); entries never
-carry their own TTL, so a cached value is exactly as fresh as its
-generation.  The generation is also part of every cache key: a request
+The recommendation cache is invalidated wholesale by the serving layer's
+*generation counter* when the model mutates (see ``docs/serving.md``);
+entries never carry their own TTL, so a cached value is exactly as fresh as
+its generation.  The generation is also part of every cache key: a request
 that resolved a snapshot before a model swap may ``store()`` *after* the
 swap's ``clear()``, and the key prefix makes that late entry unreachable
 from the new generation instead of poisoning it with results computed
@@ -71,8 +64,6 @@ _GUARDED_BY = {
     "LRUCache._evictions": "_lock",
     "LRUCache._invalidations": "_lock",
     "CachedModelView._model": "<final>",
-    "CachedModelView._cache": "<final>",
-    "CachedModelView._generation": "<final>",
     "CachedModelView._engine": "<final>",
     "LRUCache._lock": "<final>",
 }
@@ -255,45 +246,27 @@ class LRUCache:
 
 
 class CachedModelView:
-    """Read-only model proxy memoizing ``implementation_space``.
+    """A frozen model bound to its generation's CSR engine.
 
-    ``IS(H)`` is the shared sub-query of every space query and every
-    strategy: ``GS``/``AS`` are projections of it, and each ranking pass
-    starts from it.  This view delegates the full
-    :class:`AssociationGoalModel` query surface and routes the three space
-    queries through one memoized ``IS`` lookup, so repeated and overlapping
-    activities skip the inverted-index unions.
+    The serving snapshot's model view: it delegates the full
+    :class:`AssociationGoalModel` query surface and answers the three
+    space queries (``IS``/``GS``/``AS``) from the engine's masks
+    (:meth:`~repro.core.vectorized.BatchRecommender.spaces`), so
+    ``/spaces``, ``/explain``, ``/goals`` and the scalar-only strategies
+    read the same structure that ranks.  The answers equal the bare
+    model's scalar sets (asserted in the test suite).
 
-    The view never mutates the underlying model and the memoized sets are
-    handed out by reference — callers (the shipped strategies) treat them as
-    read-only, which keeps hits allocation-free.
-
-    ``generation`` is baked into every cache key so views over different
-    model generations can safely share one :class:`LRUCache`: a late store
-    by an in-flight request against a retired generation lands under that
-    generation's keys and is unreachable from the current one (frozen ids
-    are re-densified on every freeze, so a cross-generation hit would be
-    outright wrong, not merely stale).
-
-    The view also carries the generation's CSR engine
-    (:class:`~repro.core.vectorized.BatchRecommender`), built completely in
-    ``__init__`` unless one is passed in: multi-worker serving passes an
-    engine rebuilt zero-copy from the shared-memory arena, so workers skip
-    the sparse products.
+    The engine is built completely in ``__init__`` unless one is passed
+    in: multi-worker serving passes an engine rebuilt zero-copy from the
+    shared-memory arena, so workers skip the sparse products.
     """
 
     def __init__(
         self,
         model: AssociationGoalModel,
-        cache: LRUCache | None = None,
-        generation: int = 0,
         engine: BatchRecommender | None = None,
     ) -> None:
         self._model = model
-        self._generation = generation
-        self._cache = cache if cache is not None else LRUCache(
-            4096, name="implementation_space"
-        )
         if engine is None:
             from repro.core.vectorized import BatchRecommender
 
@@ -315,74 +288,41 @@ class CachedModelView:
         """
         return self._engine
 
-    @property
-    def space_cache(self) -> LRUCache:
-        """The LRU memoizing ``implementation_space``."""
-        return self._cache
-
     def __getattr__(self, name: str) -> Any:
         # Everything not overridden below (label translation, index access,
         # derived statistics) delegates to the wrapped model unchanged.
         return getattr(self._model, name)
 
-    def implementation_space(self, activity: frozenset[int]) -> set[int]:
-        """Memoized ``IS(H)``."""
+    def _space(self, stage: str, index: int, activity: frozenset[int]) -> set[int]:
+        """One of the engine's ``(IS, GS, AS)`` arrays as a set, under its
+        stage span when tracing is on."""
         if not obs.tracing_enabled():
-            return self._cache.get_or_compute(
-                (self._generation, activity),
-                lambda: self._model.implementation_space(activity),
-            )
-        # Stage span even on a cache hit: the per-stage breakdown and the
-        # slow-request trees must show where a request spent its time
-        # whether or not the memo answered.  A miss nests the model's own
-        # ``implementation_space`` span inside this one; the stage profiler
-        # counts only the outermost occurrence of a stage name.
-        with obs.trace_span("implementation_space") as span:
-            hit, value = self._cache.lookup((self._generation, activity))
-            if not hit:
-                value = self._model.implementation_space(activity)
-                self._cache.store((self._generation, activity), value)
-            span.set_attrs(cached=hit, size=len(value))
-        return value
+            return set(self._engine.spaces(activity)[index].tolist())
+        with obs.trace_span(stage) as span:
+            space = set(self._engine.spaces(activity)[index].tolist())
+            span.set_attrs(size=len(space))
+        return space
+
+    def implementation_space(self, activity: frozenset[int]) -> set[int]:
+        """``IS(H)`` from the engine."""
+        return self._space("implementation_space", 0, activity)
 
     def goal_space(self, activity: frozenset[int]) -> set[int]:
-        """``GS(H)`` derived from the memoized ``IS(H)``."""
-        if not obs.tracing_enabled():
-            return self._goal_space_ids(activity)
-        with obs.trace_span("goal_space") as span:
-            space = self._goal_space_ids(activity)
-            span.set_attrs(size=len(space))
-        return space
-
-    def _goal_space_ids(self, activity: frozenset[int]) -> set[int]:
-        return {
-            self._model.implementation_goal(pid)
-            for pid in self.implementation_space(activity)
-        }
+        """``GS(H)`` from the engine."""
+        return self._space("goal_space", 1, activity)
 
     def action_space(self, activity: frozenset[int]) -> set[int]:
-        """``AS(H)`` derived from the memoized ``IS(H)``."""
-        if not obs.tracing_enabled():
-            return self._action_space_ids(activity)
-        with obs.trace_span("action_space") as span:
-            space = self._action_space_ids(activity)
-            span.set_attrs(size=len(space))
-        return space
-
-    def _action_space_ids(self, activity: frozenset[int]) -> set[int]:
-        space: set[int] = set()
-        for pid in self.implementation_space(activity):
-            space |= self._model.implementation_actions(pid)
-        return space
+        """``AS(H)`` from the engine."""
+        return self._space("action_space", 2, activity)
 
     def candidate_actions(self, activity: frozenset[int]) -> set[int]:
-        """``AS(H) − H`` via the memoized space."""
+        """``AS(H) − H`` from the engine."""
         return self.action_space(activity) - activity
 
     def goal_space_labels(
         self, activity: Iterable[ActionLabel]
     ) -> set[GoalLabel]:
-        """Label-level ``GS(H)`` through the memoized path."""
+        """Label-level ``GS(H)`` from the engine."""
         encoded = self._model.encode_activity(activity)
         return {
             self._model.goal_label(gid) for gid in self.goal_space(encoded)
@@ -391,7 +331,7 @@ class CachedModelView:
     def action_space_labels(
         self, activity: Iterable[ActionLabel]
     ) -> set[ActionLabel]:
-        """Label-level ``AS(H)`` through the memoized path."""
+        """Label-level ``AS(H)`` from the engine."""
         encoded = self._model.encode_activity(activity)
         return {
             self._model.action_label(aid) for aid in self.action_space(encoded)
@@ -406,10 +346,9 @@ class CachingRecommender:
     the same id set still get their own entries (their
     ``RecommendationList.activity`` fields differ).  A hit returns the
     exact object the reference path produced earlier; a miss delegates and
-    stores.  As with :class:`CachedModelView`, the ``generation`` prefix
-    keeps a shared cache safe across hot model swaps: an in-flight request
-    that stores after the swap's invalidation cannot serve its stale result
-    to the new generation.
+    stores.  The ``generation`` prefix keeps a shared cache safe across hot
+    model swaps: an in-flight request that stores after the swap's
+    invalidation cannot serve its stale result to the new generation.
     """
 
     def __init__(

@@ -3,7 +3,7 @@
 The codebase has three interchangeable model implementations —
 :class:`~repro.core.model.AssociationGoalModel` (frozen),
 :class:`~repro.core.incremental.IncrementalGoalModel` (mutable) and
-:class:`~repro.core.caching.CachedModelView` (memoizing proxy) — and
+:class:`~repro.core.caching.CachedModelView` (model + CSR engine) — and
 strategies accept any of them because they only use the shared query
 surface.  Until now that contract was duck-typed; :class:`ModelView`
 states it as a :class:`~typing.Protocol`, so ``mypy --strict`` checks both

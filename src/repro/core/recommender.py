@@ -28,7 +28,7 @@ from repro.core.entities import ActionLabel, GoalLabel, RecommendationList
 from repro.core.protocols import ModelView, engine_of
 from repro.core.strategies import RankingStrategy, create_strategy
 from repro.core.strategies.base import require_request_count
-from repro.resilience.deadlines import Deadline, active_deadline
+from repro.resilience.deadlines import active_deadline
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
     from repro.core.vectorized import BatchRecommender
@@ -40,61 +40,6 @@ PAPER_STRATEGIES = ("focus_cmp", "focus_cl", "breadth", "best_match")
 #: :class:`~repro.core.vectorized.BatchRecommender` — only these (in their
 #: default configuration) are ever rerouted off the scalar path.
 _CSR_STRATEGIES = frozenset(PAPER_STRATEGIES)
-
-
-class _RequestSpaceMemo:
-    """One-request memo of the space pipeline over an *uncached* model.
-
-    When a deadline-carrying request runs over a bare
-    :class:`AssociationGoalModel`, the facade drives the ``IS -> GS -> AS``
-    pipeline for its stage checkpoints and the strategy then re-queries the
-    same spaces while ranking — every space query runs twice.  The serving
-    layer avoids this with :class:`~repro.core.caching.CachedModelView`;
-    this memo gives the embedded/uncached case the same property for the
-    duration of one request: ``IS(H)`` is computed once and ``GS``/``AS``
-    are derived from it, exactly as the cached view derives them.
-
-    Not thread-safe and never shared — one instance per request, discarded
-    with it.
-    """
-
-    def __init__(self, model: ModelView) -> None:
-        self._model = model
-        self._is: dict[frozenset[int], set[int]] = {}
-        self._gs: dict[frozenset[int], set[int]] = {}
-        self._as: dict[frozenset[int], set[int]] = {}
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._model, name)
-
-    def implementation_space(self, activity: frozenset[int]) -> set[int]:
-        cached = self._is.get(activity)
-        if cached is None:
-            cached = self._model.implementation_space(activity)
-            self._is[activity] = cached
-        return cached
-
-    def goal_space(self, activity: frozenset[int]) -> set[int]:
-        cached = self._gs.get(activity)
-        if cached is None:
-            cached = {
-                self._model.implementation_goal(pid)
-                for pid in self.implementation_space(activity)
-            }
-            self._gs[activity] = cached
-        return cached
-
-    def action_space(self, activity: frozenset[int]) -> set[int]:
-        cached = self._as.get(activity)
-        if cached is None:
-            cached = set()
-            for pid in self.implementation_space(activity):
-                cached |= self._model.implementation_actions(pid)
-            self._as[activity] = cached
-        return cached
-
-    def candidate_actions(self, activity: frozenset[int]) -> set[int]:
-        return self.action_space(activity) - activity
 
 
 class GoalRecommender:
@@ -109,10 +54,13 @@ class GoalRecommender:
             (:func:`~repro.core.protocols.engine_of` — the serving layer's
             :class:`~repro.core.caching.CachedModelView` carries one); bare
             models carry none and stay on the scalar reference strategies.
-            ``False`` never routes CSR — the escape hatch the parity suite
-            and the benchmark oracle use for their reference rankings.
-            Both paths are bit-identical (scores, order, ties), so the
-            setting is about performance, never results.
+            ``False`` ranks those four with their scalar implementations —
+            the escape hatch the parity suite and the benchmark oracle use
+            for their reference rankings.  Strategies that look the engine
+            up themselves (the pruned tier, the ensemble's members) and a
+            view's space queries are unaffected.  Both paths are
+            bit-identical (scores, order, ties), so the setting is about
+            performance, never results.
     """
 
     def __init__(
@@ -221,62 +169,24 @@ class GoalRecommender:
         chosen = self.strategy(name, **options)
         runner = self._runner(name, chosen, options)
         deadline = active_deadline()
-        rank_model: ModelView = self.model
         if deadline is not None:
-            rank_model = self._run_stages_with_deadline(
-                deadline, encoded, csr=runner is not chosen
-            )
+            # The stage an expired request stops before: the space
+            # pipeline that ranking starts with, then the ranking itself.
+            deadline.check("implementation_space")
+            deadline.check("rank")
         if not obs.is_enabled():
-            result = runner.recommend(rank_model, encoded, k)
+            result = runner.recommend(self.model, encoded, k)
         else:
-            result = self._recommend_observed(runner, rank_model, encoded, k)
+            result = self._recommend_observed(runner, encoded, k)
         if obs.quality_enabled():
             obs.get_quality_monitor().observe_recommend(
                 runner.name, self.model, encoded, result
             )
         return result
 
-    def _run_stages_with_deadline(
-        self, deadline: Deadline, encoded: frozenset[int], csr: bool
-    ) -> ModelView:
-        """Walk the space pipeline with a deadline check entering each stage.
-
-        The paper's pipeline is ``IS(H) -> GS(H) -> AS(H) -> rank``; when a
-        request carries a deadline, each space query is driven here with a
-        checkpoint in front of it, so an expired request stops at the next
-        stage boundary (raising
-        :class:`~repro.resilience.deadlines.DeadlineExceededError` naming
-        the stage about to be entered) instead of completing a ranking
-        nobody is waiting for.  Returns the model the ranking should run
-        on: the facade's own model when its space queries are memoized
-        (:class:`~repro.core.caching.CachedModelView`), otherwise a
-        per-request :class:`_RequestSpaceMemo` so the strategy's own space
-        queries reuse the work done here instead of repeating it.  A
-        CSR-routed request has no scalar space pipeline at all — only the
-        checkpoints run, keeping the stage names an expired request
-        surfaces identical on both paths.  Without an active deadline this
-        method is skipped entirely and the recommend path is unchanged.
-        """
-        if csr:
-            deadline.check("implementation_space")
-            deadline.check("rank")
-            return self.model
-        model: ModelView = self.model
-        if getattr(model, "space_cache", None) is None:
-            model = _RequestSpaceMemo(model)
-        deadline.check("implementation_space")
-        model.implementation_space(encoded)
-        deadline.check("goal_space")
-        model.goal_space(encoded)
-        deadline.check("action_space")
-        model.action_space(encoded)
-        deadline.check("rank")
-        return model
-
     def _recommend_observed(
         self,
         chosen: RankingStrategy,
-        rank_model: ModelView,
         encoded: frozenset[int],
         k: int,
     ) -> RecommendationList:
@@ -292,7 +202,7 @@ class GoalRecommender:
         """
         with obs.trace_span("recommend", strategy=chosen.name, k=k) as span:
             start = perf_counter()
-            result = chosen.recommend(rank_model, encoded, k)
+            result = chosen.recommend(self.model, encoded, k)
             elapsed = perf_counter() - start
             if obs.metrics_enabled():
                 registry = obs.get_registry()
@@ -325,7 +235,7 @@ class GoalRecommender:
                 )
                 if obs.trace_detail_enabled():
                     is_size, gs_size, as_size, candidates = (
-                        self._space_sizes(rank_model, encoded)
+                        self._space_sizes(encoded)
                     )
                     span.set_attrs(
                         is_size=is_size,
@@ -336,7 +246,7 @@ class GoalRecommender:
         return result
 
     def _space_sizes(
-        self, model: ModelView, encoded: frozenset[int]
+        self, encoded: frozenset[int]
     ) -> tuple[int, int, int, int]:
         """``(|IS(H)|, |GS(H)|, |AS(H)|, |AS(H)−H|)`` for the trace detail.
 
@@ -349,6 +259,7 @@ class GoalRecommender:
         """
         if self._engine is not None:
             return self._engine.space_sizes(encoded)
+        model = self.model
         impl_space = model.implementation_space(encoded)
         action_space = model.action_space(encoded)
         return (
@@ -380,7 +291,7 @@ class GoalRecommender:
             }
         with obs.trace_span("recommend_all", k=k) as span:
             results = {
-                name: self._recommend_observed(runner, self.model, encoded, k)
+                name: self._recommend_observed(runner, encoded, k)
                 for name, runner in runners.items()
             }
             span.set_attr("strategies", list(results))

@@ -14,7 +14,10 @@ rules:
   ``score(a) = Σ_members (pool_size − rank_member(a))``.
 
 Members contribute through their *rankings* only, so any registered
-strategy (including another ensemble) can participate.
+strategy (including another ensemble) can participate.  Over a model view
+that carries a CSR engine (:func:`~repro.core.protocols.engine_of`), the
+four paper strategies among the members rank in the engine, whose
+rankings are bit-identical to theirs; every other member ranks scalar.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 
-from repro.core.protocols import ModelView
+from repro.core.protocols import ModelView, engine_of
 from repro.core.strategies.base import (
     RankingStrategy,
     create_strategy,
@@ -69,6 +72,10 @@ class EnsembleStrategy(RankingStrategy):
         self.pool_size = pool_size
         self.rrf_k = rrf_k
         self._strategies = [create_strategy(name) for name in members]
+        # Imported here: the recommender module imports this package.
+        from repro.core.recommender import PAPER_STRATEGIES
+
+        self._engine_ranked = [name in PAPER_STRATEGIES for name in members]
         self.name = f"ensemble_{method}_" + "+".join(self.members)
 
     def rank(
@@ -78,9 +85,15 @@ class EnsembleStrategy(RankingStrategy):
         k: int,
     ) -> list[tuple[int, float]]:
         """Fuse the members' top-``pool_size`` rankings; return top-``k``."""
+        engine = engine_of(model)
         fused: dict[int, float] = defaultdict(float)
-        for strategy in self._strategies:
-            ranking = strategy.rank(model, activity, self.pool_size)
+        for name, strategy, engine_ranked in zip(
+            self.members, self._strategies, self._engine_ranked
+        ):
+            if engine is not None and engine_ranked:
+                ranking = engine.rank(activity, self.pool_size, name)
+            else:
+                ranking = strategy.rank(model, activity, self.pool_size)
             for rank, (aid, _) in enumerate(ranking, start=1):
                 if self.method == "rrf":
                     fused[aid] += 1.0 / (self.rrf_k + rank)

@@ -102,7 +102,8 @@ class BatchRecommender:
     one instance per generation before publishing the generation's
     snapshot (``CachedModelView.csr_engine`` / ``ModelSnapshot.engine``)
     and routes the batch endpoint, single-activity ``rank()``, the
-    approximate tier and the trace-detail space sizes through it.
+    approximate tier, the ensemble's members and every space query
+    (``/spaces``, ``/explain``, ``/goals``, trace detail) through it.
     """
 
     def __init__(self, model: AssociationGoalModel) -> None:
@@ -563,22 +564,19 @@ class BatchRecommender:
             scores[degenerate] = -1.0
         return candidates, scores
 
-    def space_sizes(
+    def _space_masks(
         self, activity: frozenset[int]
-    ) -> tuple[int, int, int, int]:
-        """``(|IS(H)|, |GS(H)|, |AS(H)|, |AS(H) − H|)`` from the engine arrays.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Boolean ``IS``/``GS``/``AS`` masks of a non-empty activity.
 
-        The sizes the scalar space queries (Eq. 1-2) would report, computed
-        with boolean masks instead of Python sets: ``IS`` marks the
-        activity's posting lists, ``GS`` the goals of those
-        implementations, and ``AS`` the union of the activity's
-        co-occurrence rows — exact because ``S = MᵀM`` has ``S[b, c] > 0``
-        iff some implementation contains both ``b`` and ``c`` (the diagonal
-        keeps ``H``'s own co-occurring actions in ``AS``, as the scalar
-        query does).
+        The scalar space queries (Eq. 1-2) as masks instead of Python
+        sets: ``IS`` marks the activity's posting lists, ``GS`` the goals
+        of those implementations, and ``AS`` the union of the activity's
+        co-occurrence rows — exact because ``S = MᵀM`` has
+        ``S[b, c] > 0`` iff some implementation contains both ``b`` and
+        ``c`` (the diagonal keeps ``H``'s own co-occurring actions in
+        ``AS``, as the scalar query does).
         """
-        if not activity:
-            return 0, 0, 0, 0
         impl_mask = np.zeros(self.model.num_implementations, dtype=bool)
         impl_mask[np.concatenate([self._post_rows[a] for a in activity])] = True
         goal_mask = np.zeros(self.model.num_goals, dtype=bool)
@@ -586,6 +584,36 @@ class BatchRecommender:
         col_rows = self._cooc[0]
         action_mask = np.zeros(self.model.num_actions, dtype=bool)
         action_mask[np.concatenate([col_rows[a] for a in activity])] = True
+        return impl_mask, goal_mask, action_mask
+
+    def spaces(
+        self, activity: frozenset[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted ``(IS(H), GS(H), AS(H))`` id arrays.
+
+        Equal, as sets, to the scalar model's ``implementation_space``,
+        ``goal_space`` and ``action_space`` (asserted in the test suite).
+        """
+        if not activity:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        impl_mask, goal_mask, action_mask = self._space_masks(activity)
+        return (
+            np.flatnonzero(impl_mask),
+            np.flatnonzero(goal_mask),
+            np.flatnonzero(action_mask),
+        )
+
+    def space_sizes(
+        self, activity: frozenset[int]
+    ) -> tuple[int, int, int, int]:
+        """``(|IS(H)|, |GS(H)|, |AS(H)|, |AS(H) − H|)`` from the engine arrays.
+
+        Counts the masks behind :meth:`spaces` without materializing ids.
+        """
+        if not activity:
+            return 0, 0, 0, 0
+        impl_mask, goal_mask, action_mask = self._space_masks(activity)
         as_size = int(np.count_nonzero(action_mask))
         in_h = int(np.count_nonzero(action_mask[self._activity_array(activity)]))
         return (

@@ -16,9 +16,9 @@ spans into answers to "where does time go inside a request":
   start/stoppable from the CLI (``repro --profile``) and the service
   (``POST``/``DELETE /debug/profile``), rendering :mod:`pstats` text.
 
-The stage profiler double-counts nothing: ``CachedModelView`` wraps the
-underlying model, so a cache miss yields *nested* same-name stage spans
-(the view's span around the model's); the tree walk attributes time to the
+The stage profiler double-counts nothing: a model view that delegates to
+another model yields *nested* same-name stage spans (the outer view's
+span around the inner model's); the tree walk attributes time to the
 outermost occurrence of each stage name only.
 """
 

@@ -9,9 +9,10 @@ continuing?" without threading a parameter through the recommender stack.
 
 Checkpoints sit at the natural seams of the paper's pipeline:
 
-- between the four recommend stages (``implementation_space`` →
-  ``goal_space`` → ``action_space`` → ``rank``) in
-  :class:`~repro.core.recommender.GoalRecommender`;
+- before the space pipeline and before ranking (``implementation_space``
+  then ``rank``) in :class:`~repro.core.recommender.GoalRecommender`;
+  ``goal_space`` and ``action_space`` stay in the label vocabulary below,
+  but no recommend path checks them;
 - before every scoring chunk of the batch path
   (:meth:`~repro.core.vectorized.BatchRecommender.recommend_many`);
 - while waiting in the admission queue

@@ -187,6 +187,11 @@ _MAX_BATCH_ACTIVITIES = 50_000  # backstop against unbounded fan-out
 #: (``breadth_pruned``) — see docs/performance.md.
 _TIERS = ("exact", "approx")
 
+#: The strategy the ``approx`` tier serves.  A response echoes tier
+#: ``approx`` whenever this strategy ran, whether the request asked for
+#: the tier or named the strategy itself.
+_APPROX_STRATEGY = "breadth_pruned"
+
 #: ``?sort=`` values accepted by ``DELETE /debug/profile`` (pstats keys).
 _PROFILE_SORTS = (
     "cumulative", "tottime", "time", "calls", "ncalls", "filename",
@@ -378,20 +383,19 @@ class ModelSnapshot:
 
 
 class ModelManager:
-    """The mutable serving state: incremental model, caches, generation.
+    """The mutable serving state: incremental model, cache, generation.
 
     Readers call :meth:`snapshot` (read lock, O(1)) and work against the
     returned :class:`ModelSnapshot`.  Writers (:meth:`add_implementations`,
     :meth:`remove_implementation`) take the write lock for the whole
     mutate-refreeze-invalidate-swap sequence, so the generation counter,
-    the caches and the indexes always change together.
+    the result cache and the engine always change together.
     """
 
     def __init__(
         self,
         incremental: IncrementalGoalModel,
         cache_size: int = 1024,
-        space_cache_size: int = 4096,
         on_swap: Callable[[ModelSnapshot], None] | None = None,
         approx_budget: int = 128,
         initial_generation: int = 0,
@@ -418,7 +422,6 @@ class ModelManager:
         # built here; the service seeds that itself after construction.
         self._on_swap = on_swap
         self.recommendation_cache = LRUCache(cache_size, name="recommendations")
-        self.space_cache = LRUCache(space_cache_size, name="implementation_space")
         self._base_recommender: GoalRecommender | None = None
         self._snapshot = self._build_snapshot_locked()
         self._publish_generation_locked()
@@ -448,15 +451,9 @@ class ModelManager:
         if self._incremental.num_implementations == 0:
             return ModelSnapshot(self._generation, None, None, None)
         frozen = self._incremental.freeze()
-        # The caches are shared across generations; the generation baked
-        # into every key keeps a late store from an in-flight request of a
-        # retired snapshot unreachable from this one.  The view builds the
-        # generation's CSR engine here, before the snapshot is published,
-        # unless it was handed the initial one.
-        cached_view = CachedModelView(
-            frozen, cache=self.space_cache, generation=self._generation,
-            engine=engine,
-        )
+        # The view builds the generation's CSR engine here, before the
+        # snapshot is published, unless it was handed the initial one.
+        cached_view = CachedModelView(frozen, engine=engine)
         if self._base_recommender is None:
             recommender = GoalRecommender(cached_view)
             # The approximate tier's budget is service configuration, not a
@@ -490,10 +487,9 @@ class ModelManager:
 
     def _swap_locked(self, op: str) -> ModelSnapshot:
         self._generation += 1
-        # Invalidate both caches before the new snapshot becomes visible:
+        # Invalidate the cache before the new snapshot becomes visible:
         # every entry was computed against the previous generation.
         self.recommendation_cache.clear()
-        self.space_cache.clear()
         self._snapshot = self._build_snapshot_locked()
         self._publish_generation_locked()
         if obs.metrics_enabled():
@@ -546,17 +542,14 @@ class ModelManager:
             model = self._incremental
             generation = self._generation
             live = model.live_implementation_ids()
-        caches = {}
-        for cache in (self.recommendation_cache, self.space_cache):
-            stats = cache.stats()
-            payload = dataclasses.asdict(stats)
-            payload["hit_rate"] = stats.hit_rate
-            caches[stats.name] = payload
+        stats = self.recommendation_cache.stats()
+        payload = dataclasses.asdict(stats)
+        payload["hit_rate"] = stats.hit_rate
         return {
             "generation": generation,
             "implementations": len(live),
             "max_implementation_id": live[-1] if live else None,
-            "caches": caches,
+            "caches": {stats.name: payload},
         }
 
     def recommend(
@@ -1228,7 +1221,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "tier 'approx' requires strategy 'breadth'",
                     f"got strategy {strategy!r}",
                 )
-            strategy = "breadth_pruned"
+            strategy = _APPROX_STRATEGY
         result, cached, generation = self.service.manager.recommend(
             activity, k=k, strategy=strategy
         )
@@ -1236,7 +1229,9 @@ class _Handler(BaseHTTPRequestHandler):
             200,
             {
                 "strategy": result.strategy,
-                "tier": tier,
+                "tier": (
+                    "approx" if result.strategy == _APPROX_STRATEGY else "exact"
+                ),
                 "cached": cached,
                 "generation": generation,
                 "recommendations": [
@@ -1556,8 +1551,6 @@ class RecommenderService:
         approx_budget: per-action posting-list cap of the ``tier=approx``
             recommend path (``breadth_pruned``) — see docs/performance.md
             for the recall/latency trade-off.
-        space_cache_size: capacity of the memoized ``implementation_space``
-            LRU; 0 disables the memo.
         slow_threshold_seconds: requests at least this slow are logged in
             ``/debug/slow`` and counted in ``repro_slow_requests_total``.
         slow_log_size: how many slow requests ``/debug/slow`` retains (the
@@ -1614,7 +1607,6 @@ class RecommenderService:
         enable_exemplars: bool = True,
         trace_detail: bool = True,
         cache_size: int = 1024,
-        space_cache_size: int = 4096,
         approx_budget: int = 128,
         slow_threshold_seconds: float = 0.1,
         slow_log_size: int = 32,
@@ -1677,7 +1669,6 @@ class RecommenderService:
         self.manager = ModelManager(
             incremental,
             cache_size=cache_size,
-            space_cache_size=space_cache_size,
             on_swap=self._on_model_swap,
             approx_budget=approx_budget,
             initial_generation=initial_generation,

@@ -107,7 +107,6 @@ def _service_kwargs(args: argparse.Namespace) -> dict[str, Any]:
         history_window = obs.DEFAULT_WINDOW_SECONDS
     return {
         "cache_size": getattr(args, "cache_size", 1024),
-        "space_cache_size": getattr(args, "space_cache_size", 4096),
         "approx_budget": getattr(args, "approx_budget", 128),
         "enable_tracing": not getattr(args, "no_tracing", False),
         "enable_exemplars": not getattr(args, "no_exemplars", False),

@@ -56,7 +56,7 @@ class TestSuiteDeclaration:
         specs = get_suite("smoke")
         assert {spec.name for spec in specs} >= {
             "recommend_strategies", "association_spaces",
-            "evaluation_protocol", "space_cache", "obs_overhead",
+            "evaluation_protocol", "obs_overhead",
         }
 
     def test_unknown_suite_raises(self):
@@ -160,7 +160,7 @@ class TestComparator:
         degraded = copy.deepcopy(report)
         degraded["benchmarks"] = [
             bench for bench in degraded["benchmarks"]
-            if bench["name"] != "space_cache"
+            if bench["name"] != "association_spaces"
         ]
         del degraded["benchmarks"][0]["metrics"][
             next(iter(degraded["benchmarks"][0]["metrics"]))

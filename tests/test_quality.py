@@ -316,9 +316,8 @@ class TestQualityMonitor:
     def test_space_sizes_come_from_the_engine_over_a_cached_view(
         self, registry, recipe_model
     ):
-        """A view with a CSR engine answers the sampled sizes without ever
-        touching its ``implementation_space`` memo; the numbers match the
-        scalar queries of a bare model."""
+        """A view with a CSR engine answers the sampled sizes from the
+        engine; the numbers match the scalar queries of a bare model."""
         view = CachedModelView(recipe_model)
         encoded = recipe_model.encode_activity({"potatoes", "carrots"})
         result = GoalRecommender(view).recommend({"potatoes", "carrots"}, k=3)
@@ -339,8 +338,6 @@ class TestQualityMonitor:
             }
         assert sums[True] == sums[False]
         assert sums[True]["is"] == len(recipe_model.implementation_space(encoded))
-        memo = view.space_cache.stats()
-        assert memo.hits + memo.misses == 0
 
     def test_observe_traffic_oov_and_coverage(self, registry, recipe_model):
         monitor = QualityMonitor(window_size=2)

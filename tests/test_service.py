@@ -290,6 +290,30 @@ class TestServingTiers:
         assert body["tier"] == "approx"
         assert body["strategy"] == "breadth_pruned"
 
+    @pytest.mark.parametrize("tier", [None, "exact"])
+    def test_pruned_strategy_by_name_echoes_approx_tier(self, service, tier):
+        """The echoed tier follows the strategy that ran, not the request's
+        tier key: naming the pruned strategy runs the approximate tier."""
+        payload = {"activity": ["potatoes"], "k": 3, "strategy": "breadth_pruned"}
+        if tier is not None:
+            payload["tier"] = tier
+        status, body = call(service, "/recommend", payload)
+        assert status == 200
+        assert body["strategy"] == "breadth_pruned"
+        assert body["tier"] == "approx"
+
+    @pytest.mark.parametrize(
+        "strategy", ["focus_cmp", "focus_cl", "best_match", "ensemble"]
+    )
+    def test_other_strategies_echo_exact_tier(self, service, strategy):
+        status, body = call(
+            service,
+            "/recommend",
+            {"activity": ["potatoes"], "k": 3, "strategy": strategy},
+        )
+        assert status == 200
+        assert body["tier"] == "exact"
+
     def test_approx_matches_exact_at_toy_scale(self, service):
         """Connectivity here is far below the default budget, so the pruned
         tier returns the exact Breadth ranking."""

@@ -1,17 +1,22 @@
 """Property-based equivalence: BatchRecommender vs reference strategies.
 
 Hypothesis generates arbitrary small libraries and activities; the
-vectorized engine must agree with the reference strategies (and its space
-sizes with the reference space queries) on every one — the library-level
+vectorized engine must agree with the reference strategies (and its spaces
+with the reference space queries) on every one — the library-level
 counterpart of the fixed-dataset tests in
-``test_vectorized.py``.
+``test_vectorized.py``.  The serving view
+(:class:`~repro.core.caching.CachedModelView`) answers its space queries
+and the ensemble's paper-strategy members from that engine, so both are
+checked against the bare model too.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AssociationGoalModel
+from repro.core import AssociationGoalModel, CachedModelView, GoalRecommender
+from repro.core.recommender import PAPER_STRATEGIES
 from repro.core.strategies import create_strategy
+from repro.core.strategies.ensemble import EnsembleStrategy
 from repro.core.vectorized import BatchRecommender
 
 action_labels = st.integers(min_value=0, max_value=20).map(lambda i: f"a{i}")
@@ -24,6 +29,31 @@ libraries = st.lists(
     max_size=15,
 )
 activities = st.frozensets(action_labels, max_size=6)
+
+
+@st.composite
+def tie_heavy_libraries(draw):
+    """Identically shaped implementations over disjoint action blocks.
+
+    Every goal gets the same implementation shapes in every block, so
+    distinct candidates tie on every score and only the ascending-id
+    tie-break orders them; a bridge implementation links the blocks.
+    """
+    blocks = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=2, max_value=4))
+    goals = draw(st.integers(min_value=1, max_value=3))
+    pairs = []
+    for block in range(blocks):
+        base = [f"t{block}_{i}" for i in range(width)]
+        for goal in range(goals):
+            pairs.append((f"g{goal}", frozenset(base)))
+            pairs.append((f"g{goal}", frozenset(base[:2]) | {f"x{block}_{goal}"}))
+    if blocks > 1:
+        pairs.append(("bridge", frozenset(f"t{b}_0" for b in range(blocks))))
+    return pairs
+
+
+any_libraries = st.one_of(libraries, tie_heavy_libraries())
 
 
 @given(libraries, activities, st.sampled_from(
@@ -100,21 +130,80 @@ def _with_orphan_actions(model, orphans):
     )
 
 
-@given(libraries, st.integers(min_value=0, max_value=3), st.data())
-@settings(max_examples=80, deadline=None)
-def test_space_sizes_match_scalar_queries(pairs, orphans, data):
-    model = _with_orphan_actions(AssociationGoalModel.from_pairs(pairs), orphans)
-    activity = data.draw(
+def _draw_activity(data, model):
+    """An id-level activity over ``model``'s actions (orphans included)."""
+    return data.draw(
         st.frozensets(
             st.integers(min_value=0, max_value=model.num_actions - 1),
             max_size=6,
         )
     )
+
+
+@given(any_libraries, st.integers(min_value=0, max_value=3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_space_sizes_match_scalar_queries(pairs, orphans, data):
+    model = _with_orphan_actions(AssociationGoalModel.from_pairs(pairs), orphans)
+    activity = _draw_activity(data, model)
     engine = BatchRecommender(model)
     shared = BatchRecommender.from_arrays(model, engine.export_arrays())
     expected = _scalar_sizes(model, activity)
-    assert engine.space_sizes(activity) == expected
-    assert shared.space_sizes(activity) == expected
+    expected_spaces = (
+        sorted(model.implementation_space(activity)),
+        sorted(model.goal_space(activity)),
+        sorted(model.action_space(activity)),
+    )
+    for candidate in (engine, shared):
+        assert candidate.space_sizes(activity) == expected
+        assert [
+            space.tolist() for space in candidate.spaces(activity)
+        ] == list(expected_spaces)
+
+
+@given(any_libraries, st.integers(min_value=0, max_value=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_view_spaces_match_bare_model(pairs, orphans, data):
+    """Every space answer of the serving view equals the scalar query."""
+    model = _with_orphan_actions(AssociationGoalModel.from_pairs(pairs), orphans)
+    view = CachedModelView(model)
+    activity = _draw_activity(data, model)
+    assert view.implementation_space(activity) == model.implementation_space(
+        activity
+    )
+    assert view.goal_space(activity) == model.goal_space(activity)
+    assert view.action_space(activity) == model.action_space(activity)
+    assert view.candidate_actions(activity) == model.candidate_actions(activity)
+    labels = {model.action_label(aid) for aid in activity} | {"unknown"}
+    assert view.goal_space_labels(labels) == model.goal_space_labels(labels)
+    assert view.action_space_labels(labels) == model.action_space_labels(labels)
+
+
+@given(
+    any_libraries,
+    activities,
+    st.sampled_from(["rrf", "borda"]),
+    st.lists(
+        st.sampled_from(PAPER_STRATEGIES + ("breadth_pruned",)),
+        min_size=2,
+        max_size=4,
+    ),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_routed_ensemble_matches_scalar(
+    pairs, activity, method, members, pool_size
+):
+    """Members ranked by the view's engine fuse to the scalar ranking."""
+    model = AssociationGoalModel.from_pairs(pairs)
+    view = CachedModelView(model)
+    ensemble = EnsembleStrategy(
+        members=members, method=method, pool_size=pool_size
+    )
+    encoded = model.encode_activity(activity)
+    assert ensemble.rank(view, encoded, 8) == ensemble.rank(model, encoded, 8)
+    served = GoalRecommender(view).recommend(activity, k=8, strategy="ensemble")
+    scalar = GoalRecommender(model).recommend(activity, k=8, strategy="ensemble")
+    assert served == scalar
 
 
 @given(libraries, st.integers(min_value=1, max_value=3))
