@@ -89,6 +89,13 @@ Conventions:
   ``GET`` route and answers the same status and headers with no body; a
   method the service does not serve at all (``OPTIONS``, ``PATCH``, ...)
   answers ``501`` in the same envelope, counted under ``method="other"``;
+- connections are HTTP/1.1 and persistent: a connection serves requests
+  until the client closes it or it idles for ``_IDLE_TIMEOUT_SECONDS``; a
+  response says ``Connection: close`` and the connection closes whenever
+  the request's body was not read in full (a malformed, oversized or
+  chunked body, or an error decided before the body was read) and while
+  the service drains or stops; a body that stalls past the idle timeout
+  answers ``408``;
 - a client that disconnects mid-request is recorded in the metrics under
   the nginx-style ``499`` sentinel status (no response is written);
 - every response echoes an ``X-Request-Id`` header — the client's, when it
@@ -117,9 +124,10 @@ Resilience (see ``docs/resilience.md``):
   answers ``504`` naming the stage reached (also recorded on the request
   span as ``deadline_stage``);
 - :meth:`RecommenderService.drain` flips ``/health`` to ``draining``
-  (work routes answer ``503`` + ``Retry-After``), stops accepting, waits
-  for in-flight requests up to a timeout, then tears the server down —
-  the CLI wires SIGTERM/SIGINT to it.
+  (work routes answer ``503`` + ``Retry-After``), stops accepting, closes
+  idle kept-alive connections, waits for in-flight requests up to a
+  timeout, then tears the server down — the CLI wires SIGTERM/SIGINT to
+  it.  Admission counts requests, not connections.
 
 Usage::
 
@@ -176,11 +184,17 @@ from repro.utils.concurrency import (
     RWLock,
     lock_sanitizer_snapshot,
     make_condition,
+    make_lock,
 )
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: an activity list, not a bulk upload
 _MAX_BATCH_BODY_BYTES = 8 << 20  # batch scoring legitimately ships more
 _MAX_BATCH_ACTIVITIES = 50_000  # backstop against unbounded fan-out
+
+#: Socket timeout of every accepted connection, in seconds: an idle
+#: kept-alive connection that sends no request for this long is closed,
+#: and a request body that stalls this long answers ``408``.
+_IDLE_TIMEOUT_SECONDS = 5.0
 
 #: Serving tiers of ``POST /recommend``: ``exact`` runs the requested
 #: strategy as-is, ``approx`` swaps Breadth for its budgeted pruning tier
@@ -345,6 +359,9 @@ _GUARDED_BY = {
     "RecommenderService._inflight": "_inflight_lock",
     "RecommenderService._draining": "_inflight_lock",
     "RecommenderService._inflight_lock": "<final>",
+    "_Server._connections": "_conn_lock",
+    "_Server._closing": "_conn_lock",
+    "_Server._conn_lock": "<final>",
 }
 
 
@@ -669,13 +686,47 @@ class ModelManager:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Request handler bound to a service instance via the server object."""
+    """Request handler bound to a service instance via the server object.
+
+    One handler serves one connection: HTTP/1.1 keeps it open across
+    requests until the client closes it, it idles past
+    :data:`_IDLE_TIMEOUT_SECONDS`, a response says ``Connection: close``
+    or drain/stop closes it (see :class:`_Server`).
+    """
 
     # Set by RecommenderService when the server is constructed.
     service: "RecommenderService"
+    server: "_Server"
+    # The stdlib's pending status line and headers; _send_headers appends
+    # the body so one write carries the whole response.
+    _headers_buffer: list[bytes]
+
+    protocol_version = "HTTP/1.1"
+    # A kept-alive response is one small write followed by a read; with
+    # Nagle on, a second small segment would wait for the peer's delayed
+    # ACK (~40 ms).
+    disable_nagle_algorithm = True
+    timeout = _IDLE_TIMEOUT_SECONDS
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         """Silence per-request stderr logging (structured logs replace it)."""
+
+    def handle(self) -> None:
+        """Serve requests on this connection until it is to be closed.
+
+        Between requests the connection is idle, which drain and stop may
+        close at once (:meth:`_Server.close_connections`).
+        """
+        try:
+            self.handle_one_request()
+            while not self.close_connection and self.server.mark(
+                self.connection, idle=True
+            ):
+                self.handle_one_request()
+        except ConnectionError:
+            # The client reset the connection between requests: there is
+            # nobody to answer, and socketserver would print a traceback.
+            pass
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -685,14 +736,24 @@ class _Handler(BaseHTTPRequestHandler):
         self,
         status: int,
         content_type: str,
-        length: int,
+        body: bytes,
         allow: str | None,
         retry_after: float | None = None,
     ) -> None:
+        """Send the whole response — status line, headers and body — in
+        one write.
+
+        A HEAD response carries the Content-Length of the body that a GET
+        would have carried but not the body itself.  The response says
+        ``Connection: close`` (and the connection closes after it) when
+        the request's body was not read in full — the next bytes on the
+        stream would not be a request line — or the service is draining
+        or stopping.
+        """
         self._status = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(length))
+        self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", self._request_id)
         # Every response — including 429 shed, 503 drain, 504 deadline and
         # error envelopes — flows through here, so the trace context echo
@@ -709,7 +770,16 @@ class _Handler(BaseHTTPRequestHandler):
             # Retry-After takes integer seconds; round up so "0.5s" does
             # not tell clients to retry immediately.
             self.send_header("Retry-After", str(max(1, int(retry_after + 0.999))))
-        self.end_headers()
+        if (
+            self._body_unread
+            or self.service.is_draining()
+            or self.server.is_closing()
+        ):
+            self.send_header("Connection", "close")
+        self._headers_buffer.append(b"\r\n")
+        if self.command != "HEAD":
+            self._headers_buffer.append(body)
+        self.flush_headers()
 
     def _send_json(
         self,
@@ -718,16 +788,10 @@ class _Handler(BaseHTTPRequestHandler):
         allow: str | None = None,
         retry_after: float | None = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
         self._send_headers(
-            status, "application/json", len(body), allow,
-            retry_after=retry_after,
+            status, "application/json", json.dumps(payload).encode("utf-8"),
+            allow, retry_after=retry_after,
         )
-        # A HEAD response mirrors the GET headers (including the
-        # Content-Length of the body that a GET would have carried) but
-        # must not write the body itself.
-        if self.command != "HEAD":
-            self.wfile.write(body)
 
     def _send_error(
         self,
@@ -746,10 +810,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self._send_headers(status, content_type, len(body), None)
-        if self.command != "HEAD":
-            self.wfile.write(body)
+        self._send_headers(status, content_type, text.encode("utf-8"), None)
 
     def _read_json(self, max_bytes: int) -> dict:
         raw_length = self.headers.get("Content-Length", "0")
@@ -761,14 +822,22 @@ class _Handler(BaseHTTPRequestHandler):
             raise _ClientError(
                 400, "malformed Content-Length header", f"got {raw_length!r}"
             ) from None
-        if length <= 0 or length > max_bytes:
+        if length <= 0 or length > max_bytes or "Transfer-Encoding" in self.headers:
             raise _ClientError(
                 400,
                 "missing or oversized body",
                 f"Content-Length must be in (0, {max_bytes}]",
             )
         try:
-            payload = json.loads(self.rfile.read(length))
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise _ClientError(
+                408, "request body timed out",
+                f"no body bytes for {_IDLE_TIMEOUT_SECONDS:g}s",
+            ) from None
+        self._body_unread = len(raw) < length
+        try:
+            payload = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             # json.loads(bytes) decodes before parsing: a body that is not
             # valid UTF-8 fails there, and is the same client error.
@@ -862,7 +931,11 @@ class _Handler(BaseHTTPRequestHandler):
         """Parse the request line and headers, then answer any method
         without a ``do_*`` handler here: the stdlib would send its own
         HTML ``501`` with none of the service's headers.  ``False`` tells
-        the stdlib the response is already sent."""
+        the stdlib the response is already sent.  A request that arrives
+        after drain or stop closed the connection is not answered."""
+        if not self.server.mark(self.connection, idle=False):
+            self.close_connection = True
+            return False
         if not super().parse_request():
             return False
         if self.command in _METHODS:
@@ -896,6 +969,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._span_id = obs.new_span_id()
         self._status = 0
         self._deadline_stage: str | None = None
+        # Until _read_json consumes it, a declared body is still on the
+        # stream, and the response must close the connection.
+        raw_length = self.headers.get("Content-Length")
+        self._body_unread = "Transfer-Encoding" in self.headers or (
+            raw_length is not None and raw_length.strip() != "0"
+        )
         route = _route_for(path)
         endpoint = route.endpoint if route is not None else "<unknown>"
         start = time.perf_counter()
@@ -943,6 +1022,9 @@ class _Handler(BaseHTTPRequestHandler):
                                 "internal server error",
                                 detail=f"{type(exc).__name__}: {exc}",
                             )
+                        else:
+                            # The response may be cut short mid-write.
+                            self.close_connection = True
                     span.set_attr("status", self._status)
                     if self._deadline_stage is not None:
                         span.set_attr("deadline_stage", self._deadline_stage)
@@ -953,6 +1035,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # traceback.  Record the nginx-style 499 sentinel instead
                 # of the meaningless initial 0.
                 self._status = 499
+                self.close_connection = True
             finally:
                 # Record inside the request context so the http.request log
                 # line carries the request_id for correlation (and the
@@ -1458,7 +1541,62 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
-class _AdoptedListenerServer(ThreadingHTTPServer):
+class _Server(ThreadingHTTPServer):
+    """The threaded HTTP server plus a registry of its open connections.
+
+    An accepted connection is idle (awaiting a request line) or busy
+    (serving a request).  :meth:`close_connections`, called by drain and
+    stop once the server has stopped accepting, shuts the idle ones down
+    at once; a busy one closes after its response, and no connection
+    serves another request.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._conn_lock = make_lock("_Server._conn_lock")
+        # Every open connection, mapped to whether it is idle.
+        self._connections: dict[socket.socket, bool] = {}
+        self._closing = False
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._conn_lock:
+            self._connections[request] = True
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._conn_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def mark(self, conn: socket.socket, idle: bool) -> bool:
+        """Mark ``conn`` idle (between requests) or busy (serving one);
+        ``False`` if it must close instead, without another answer."""
+        with self._conn_lock:
+            if self._closing:
+                return False
+            self._connections[conn] = idle
+            return True
+
+    def is_closing(self) -> bool:
+        """``True`` once :meth:`close_connections` has run."""
+        with self._conn_lock:
+            return self._closing
+
+    def close_connections(self) -> None:
+        """Close every idle connection now and every busy one after its
+        response.  ``shutdown()`` wakes the handler thread blocked reading
+        the next request line; that thread closes the socket."""
+        with self._conn_lock:
+            self._closing = True
+            idle = [conn for conn, idle in self._connections.items() if idle]
+        for conn in idle:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler or the peer
+                pass
+
+
+class _AdoptedListenerServer(_Server):
     """A server over a shared non-blocking listener (see ``_build_server``)."""
 
     def get_request(self) -> tuple[socket.socket, Any]:
@@ -1475,7 +1613,7 @@ def _build_server(
     handler: type,
     reuse_port: bool = False,
     listen_socket: socket.socket | None = None,
-) -> ThreadingHTTPServer:
+) -> _Server:
     """Construct the HTTP server, with the multi-worker socket options.
 
     - default: the stdlib bind-and-activate path, unchanged;
@@ -1505,8 +1643,7 @@ def _build_server(
     if reuse_port:
         if not hasattr(socket, "SO_REUSEPORT"):
             raise OSError("SO_REUSEPORT is not available on this platform")
-        server = ThreadingHTTPServer((host, port), handler,
-                                     bind_and_activate=False)
+        server = _Server((host, port), handler, bind_and_activate=False)
         try:
             server.socket.setsockopt(
                 socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
@@ -1517,7 +1654,7 @@ def _build_server(
             server.server_close()
             raise
         return server
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)
 
 
 class RecommenderService:
@@ -1794,9 +1931,10 @@ class RecommenderService:
            work routes answer ``503`` + ``Retry-After`` from here on;
         2. after an optional ``grace`` window (time for a load balancer
            polling ``/health`` to stop routing here), stop accepting new
-           connections;
+           connections and close the idle kept-alive ones;
         3. wait up to ``timeout`` seconds for the in-flight requests to
-           finish — they complete normally, nothing is killed;
+           finish — they complete normally, nothing is killed, and each
+           connection closes after its response;
         4. tear the server down.
 
         Returns ``False`` when requests were still in flight at the
@@ -1819,6 +1957,7 @@ class RecommenderService:
             return True
         self._server.shutdown()
         self._thread.join()
+        self._server.close_connections()
         with self._inflight_lock:
             end = time.monotonic() + timeout
             while self._inflight > 0:
@@ -1827,11 +1966,9 @@ class RecommenderService:
                     break
                 self._inflight_lock.wait(remaining)
             dropped = self._inflight
-        if dropped:
-            # Don't let server_close() join the stuck handler threads —
-            # the drain timeout is the contract; the daemon threads die
-            # with the process.
-            self._server.block_on_close = False
+        # server_close() does not join the handler threads: they are
+        # daemons, so a request stuck past the timeout dies with the
+        # process.
         self._server.server_close()
         self._thread = None
         self._tracer.remove_sink(obs.get_profiler().observe_span)
@@ -2074,13 +2211,15 @@ class RecommenderService:
             self.history.stop()
 
     def stop(self) -> None:
-        """Shut the server down and join the serving thread."""
+        """Shut the server down and join the serving thread; idle
+        connections close at once, busy ones after their response."""
         self._stop_history()
         if self._thread is None:
             self._close_recorder()
             return
         self._server.shutdown()
         self._thread.join()
+        self._server.close_connections()
         self._server.server_close()
         self._thread = None
         self._tracer.remove_sink(obs.get_profiler().observe_span)

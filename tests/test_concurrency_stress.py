@@ -11,7 +11,8 @@ Three layers, mirroring the static RL006/RL007 pass from the other side:
   lock's semantics;
 - the stress gate: a live :class:`~repro.service.RecommenderService`
   hammered by concurrent recommend / hot-reload / fault-injected traffic
-  with the sanitizer enabled and the repo's committed ``locks.toml`` as
+  over kept-alive connections, then drained with them open, with the
+  sanitizer enabled and the repo's committed ``locks.toml`` as
   ground truth — any order inversion, undeclared nesting or reentrant
   acquisition that a schedule exposes fails the build, which is the
   runtime counterpart of ``repro-lint --select RL006,RL007 src/``.
@@ -19,6 +20,7 @@ Three layers, mirroring the static RL006/RL007 pass from the other side:
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -383,6 +385,30 @@ def call(server, path, payload=None, method=None):
         return error.code, None
 
 
+class KeptAliveClient:
+    """One persistent HTTP/1.1 connection; records every socket it used,
+    so a server that closed the connection between requests shows up as
+    more than one."""
+
+    def __init__(self, server):
+        self.conn = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        self.sockets = set()
+
+    def call(self, path, payload=None, method=None):
+        """``(status, parsed_json_or_None)``, like :func:`call`."""
+        body = json.dumps(payload).encode() if payload is not None else None
+        self.conn.request(
+            method or ("POST" if body else "GET"), path, body=body,
+            headers={"Content-Type": "application/json"} if body else {},
+        )
+        self.sockets.add(self.conn.sock)
+        response = self.conn.getresponse()
+        raw = response.read()
+        return response.status, json.loads(raw) if response.status == 200 else None
+
+
 @pytest.fixture
 def stress_service(request):
     """Sanitizer on (repo ``locks.toml``), faults installed, fresh metrics.
@@ -415,45 +441,50 @@ def stress_service(request):
 
 
 def test_schedule_stress_finds_no_lock_violations(stress_service):
-    """Recommend + hot-reload + fault-injected latency, then drain, with
-    every instrumented acquisition order-checked against ``locks.toml``."""
+    """Recommend + hot-reload + fault-injected latency over kept-alive
+    connections, then drain with those connections open, with every
+    instrumented acquisition order-checked against ``locks.toml``."""
     failures: list[str] = []
+    clients = [KeptAliveClient(stress_service) for _ in range(5)]
 
-    def recommender():
+    def recommender(client):
         for _ in range(25):
-            status, _body = call(stress_service, "/recommend", RECOMMEND)
+            status, _body = client.call("/recommend", RECOMMEND)
             if status != 200:
                 failures.append(f"/recommend -> {status}")
 
-    def reloader():
+    def reloader(client):
         for index in range(8):
             payload = {
                 "implementations": [
                     {"goal": f"soup-{index}", "actions": ["leek", "salt"]}
                 ]
             }
-            status, body = call(
-                stress_service, "/model/implementations", payload,
-                method="PUT",
+            status, body = client.call(
+                "/model/implementations", payload, method="PUT",
             )
             if status != 200:
                 failures.append(f"PUT /model/implementations -> {status}")
                 continue
             for added in body["added"]:
-                call(
-                    stress_service,
-                    f"/model/implementations/{added}",
-                    method="DELETE",
-                )
+                client.call(f"/model/implementations/{added}", method="DELETE")
 
-    threads = [threading.Thread(target=recommender) for _ in range(4)]
-    threads.append(threading.Thread(target=reloader))
+    threads = [
+        threading.Thread(target=recommender, args=(client,))
+        for client in clients[:-1]
+    ]
+    threads.append(threading.Thread(target=reloader, args=(clients[-1],)))
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
+    assert stress_service.drain(timeout=10.0) is True
+    for client in clients:
+        client.conn.close()
 
     assert failures == []
+    # Every client kept its one connection for all its requests.
+    assert [len(client.sockets) for client in clients] == [1] * len(clients)
     violations = lock_sanitizer_violations()
     assert violations == (), "\n".join(
         f"{v.kind}: {v.site} (held: {v.other}) [{v.thread}] {v.detail}"
@@ -463,6 +494,7 @@ def test_schedule_stress_finds_no_lock_violations(stress_service):
     # The schedule really exercised the interesting locks.
     assert "ModelManager._lock" in sites
     assert "LRUCache._lock" in sites
+    assert "_Server._conn_lock" in sites
 
 
 def test_debug_locks_endpoint_reports_the_snapshot(stress_service):

@@ -12,7 +12,7 @@ is its own process tree):
   to one (generation, implementations) pair;
 - **SIGTERM drains all workers** — the parent fans the drain out and the
   whole tree exits cleanly, within the drain timeout even right after
-  traffic on a shared listener;
+  traffic on a shared listener or with idle kept-alive clients;
 - **crash restarts** — a SIGKILLed worker is respawned under the restart
   budget and the pool keeps serving.
 """
@@ -20,6 +20,7 @@ is its own process tree):
 from __future__ import annotations
 
 import fcntl
+import http.client
 import json
 import os
 import re
@@ -387,6 +388,56 @@ class TestSigtermAfterTraffic:
             _out, err = pool.proc.communicate(timeout=10)
             assert pool.proc.returncode == 0, err
             assert "did not drain in time" not in err, err
+
+
+class TestSigtermWithIdleKeepAlive:
+    """SIGTERM with idle kept-alive clients: drain closes their connections
+    at once, so the server exits well within the drain timeout instead of
+    waiting on handler threads parked between requests."""
+
+    DRAIN_TIMEOUT = 5.0
+    CLIENTS = 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exits_within_drain_timeout(self, library_path, workers):
+        pool = ServerProcess(
+            library_path, workers, "--drain-timeout", str(self.DRAIN_TIMEOUT)
+        )
+        clients = [
+            http.client.HTTPConnection("127.0.0.1", pool.port, timeout=10)
+            for _ in range(self.CLIENTS)
+        ]
+        try:
+            for client in clients:
+                sockets = set()
+                for _ in range(2):
+                    client.request("GET", "/health")
+                    sockets.add(client.sock)
+                    response = client.getresponse()
+                    response.read()
+                    assert response.status == 200
+                assert len(sockets) == 1, "the connection was not kept alive"
+            start = time.monotonic()
+            pool.proc.send_signal(signal.SIGTERM)
+            try:
+                pool.proc.wait(self.DRAIN_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                pool.stop()
+                pytest.fail(
+                    f"{workers} worker(s) still running "
+                    f"{self.DRAIN_TIMEOUT:g}s after SIGTERM"
+                )
+            elapsed = time.monotonic() - start
+            _out, err = pool.proc.communicate(timeout=10)
+            assert pool.proc.returncode == 0, err
+            assert "did not drain in time" not in err, err
+            assert elapsed < self.DRAIN_TIMEOUT
+            for client in clients:
+                assert client.sock.recv(1) == b""
+        finally:
+            for client in clients:
+                client.close()
+            pool.stop()
 
 
 class TestAdoptedListener:
