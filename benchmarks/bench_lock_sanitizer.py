@@ -32,7 +32,6 @@ import time
 
 from conftest import publish
 
-from repro.core.incremental import IncrementalGoalModel
 from repro.eval.report import format_table
 from repro.service import ModelManager
 from repro.utils.concurrency import (
@@ -52,11 +51,10 @@ ENABLED_BUDGET = 1.25  # full checking on the recommend path
 
 
 def _build_manager(harness) -> ModelManager:
-    incremental = IncrementalGoalModel.from_library(harness.model.to_library())
     # A unit cache: every request misses and runs the full scoring pipeline,
     # which is what "the recommend path" means at paper scale — a warm-LRU
     # loop would time nothing but the lock acquisitions themselves.
-    return ModelManager(incremental, cache_size=1)
+    return ModelManager(harness.model, cache_size=1)
 
 
 def _run_once(manager: ModelManager, activities) -> float:

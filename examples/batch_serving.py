@@ -6,7 +6,8 @@ Three deployment-oriented features on one dataset:
    scoring, bit-identical to the reference strategies but built for
    throughput (compared here with a quick wall-clock measurement);
 2. :class:`~repro.core.incremental.IncrementalGoalModel` — a new recipe is
-   published, the next recommendation reflects it without a rebuild;
+   published to the mutation log, and recommendations over the log's next
+   ``freeze()`` reflect it;
 3. :class:`~repro.service.RecommenderService` — the stdlib HTTP JSON API.
 
 Run:  python examples/batch_serving.py
@@ -46,13 +47,16 @@ def main() -> None:
 
     # 2. Live updates --------------------------------------------------
     live = IncrementalGoalModel.from_library(dataset.library)
-    live_recommender = GoalRecommender(live)
     cart = set(sorted(carts[0])[:4])
     # Focus_cl: the new recipe is one action from completion, so its
     # missing product tops the list the moment the recipe is indexed.
-    before = live_recommender.recommend(cart, k=5, strategy="focus_cl").action_set()
+    before = GoalRecommender(model).recommend(
+        cart, k=5, strategy="focus_cl"
+    ).action_set()
     live.add_implementation("todays special", set(cart) | {"brand_new_product"})
-    after = live_recommender.recommend(cart, k=5, strategy="focus_cl").action_set()
+    after = GoalRecommender(live.freeze()).recommend(
+        cart, k=5, strategy="focus_cl"
+    ).action_set()
     print(
         f"\nlive update: new recipe published -> 'brand_new_product' "
         f"recommended: {'brand_new_product' in after} "

@@ -19,7 +19,7 @@ Three guard kinds:
   Nested functions and lambdas defined inside a ``with`` block are treated
   as running *without* the lock: closures outlive the block.
 - ``"<caller>"``: the state is externally synchronized (e.g. the
-  incremental model's index dicts live under ``ModelManager``'s RWLock).
+  mutation log's maps live under ``ModelManager``'s RWLock).
   Only methods of a class that initializes the attribute in its own
   ``__init__`` may touch it, and only through ``self`` — any reach-in from
   another class, a free function, or module level is a violation, in every

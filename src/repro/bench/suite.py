@@ -341,7 +341,6 @@ def _bench_lock_sanitizer(harness: ExperimentHarness) -> dict[str, Metric]:
     """
     # Imported here: repro.service pulls the HTTP stack, which the other
     # smoke benches do not need at module import time.
-    from repro.core.incremental import IncrementalGoalModel
     from repro.service import ModelManager
     from repro.utils.concurrency import (
         enable_lock_sanitizer,
@@ -352,11 +351,8 @@ def _bench_lock_sanitizer(harness: ExperimentHarness) -> dict[str, Metric]:
     activities = [list(user.observed) for user in harness.split]
 
     def build() -> ModelManager:
-        incremental = IncrementalGoalModel.from_library(
-            harness.model.to_library()
-        )
         # A unit cache: every request runs real scoring, not a lock loop.
-        return ModelManager(incremental, cache_size=1)
+        return ModelManager(harness.model, cache_size=1)
 
     def run_once(manager: ModelManager) -> float:
         start = time.perf_counter()

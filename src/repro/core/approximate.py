@@ -30,9 +30,8 @@ latency budget matters more than exact scores, two approximations apply:
     ``>= 0.95`` in CI.
 
 Both strategies target the :class:`~repro.core.protocols.ModelView`
-protocol, so they run over :class:`~repro.core.caching.CachedModelView` and
-incremental models as well as the concrete
-:class:`~repro.core.model.AssociationGoalModel`.  When the view carries a
+protocol, so they run over :class:`~repro.core.caching.CachedModelView` as
+well as the concrete :class:`~repro.core.model.AssociationGoalModel`.  When the view carries a
 CSR engine (:func:`~repro.core.protocols.engine_of`), the pruned tier
 delegates to its budget-capped kernel; the scalar fallback below computes
 the identical truncated sum without NumPy.

@@ -35,8 +35,9 @@ class GoalInferencer:
     """Rank goals by how strongly an activity points at them.
 
     Args:
-        model: the indexed goal model (frozen or incremental — only the
-            shared query surface is used).
+        model: the indexed goal model (any
+            :class:`~repro.core.protocols.ModelView` — only the shared
+            query surface is used).
         scorer: one of ``"evidence"``, ``"completeness"``, ``"coverage"``.
     """
 

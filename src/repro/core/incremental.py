@@ -1,22 +1,18 @@
-"""Incrementally maintainable goal model.
+"""A label-level mutation log over the goal implementation library.
 
-:class:`AssociationGoalModel` is immutable — ideal for evaluation, wrong for
-a live deployment where new goal implementations stream in (new recipes get
-published, users post new success stories) and stale ones are retired.
-:class:`IncrementalGoalModel` maintains the same five index structures under
-``add_implementation`` / ``remove_implementation`` with O(implementation
-length) maintenance cost, and answers the exact same query interface, so
-every ranking strategy runs against it unchanged.
-
-Differences from the frozen model:
+:class:`AssociationGoalModel` is immutable — ideal for evaluation and for
+serving one generation, wrong for a live deployment where new goal
+implementations stream in (new recipes get published, users post new
+success stories) and stale ones are retired.  :class:`IncrementalGoalModel`
+records those mutations and nothing else: the live implementations by id,
+a dedup map and a monotonic id counter.  It answers no queries; every read
+goes through a model indexed by :meth:`IncrementalGoalModel.freeze`.
 
 - implementation ids are never reused after removal (monotonic counter), so
   external references stay unambiguous;
-- actions and goals are never garbage-collected — an action whose last
-  implementation was removed keeps its id and simply has an empty
-  ``A-GI-idx`` entry (queries return empty spaces for it);
-- :meth:`freeze` compacts everything into an
-  :class:`AssociationGoalModel` for read-heavy serving.
+- :meth:`~IncrementalGoalModel.freeze` indexes the live implementations in
+  ascending id order, so it equals
+  ``AssociationGoalModel.from_library(log.to_library())`` id for id.
 """
 
 from __future__ import annotations
@@ -24,332 +20,98 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.core.entities import ActionLabel, GoalImplementation, GoalLabel
-from repro.core.library import ImplementationLibrary, LibraryStats
+from repro.core.library import ImplementationLibrary
 from repro.core.model import AssociationGoalModel
-from repro.exceptions import ModelError, UnknownActionError, UnknownGoalError
+from repro.exceptions import ModelError
 
 #: Lock discipline, machine-checked by ``repro-lint`` (rule RL001, see
-#: docs/static-analysis.md).  The incremental model carries no lock of its
-#: own: the serving layer's ``ModelManager`` wraps every mutation and every
+#: docs/static-analysis.md).  The log carries no lock of its own: the
+#: serving layer's ``ModelManager`` wraps every mutation and every
 #: consistent read in its writer-preferring RWLock.  ``<caller>`` marks the
-#: index dicts as externally synchronized — only this class's own methods
-#: may touch them, so synchronization stays the manager's job.
+#: maps as externally synchronized — only this class's own methods may
+#: touch them, so synchronization stays the manager's job.
 _GUARDED_BY = {
-    "IncrementalGoalModel._impl_actions": "<caller>",
-    "IncrementalGoalModel._impl_goal": "<caller>",
-    "IncrementalGoalModel._action_impls": "<caller>",
-    "IncrementalGoalModel._goal_impls": "<caller>",
+    "IncrementalGoalModel._live": "<caller>",
     "IncrementalGoalModel._dedup": "<caller>",
 }
 
 
 class IncrementalGoalModel:
-    """A goal model supporting live insertion and removal of implementations.
-
-    Query methods mirror :class:`AssociationGoalModel`; ranking strategies
-    accept either (they only use the shared query surface).
-    """
+    """The live implementations of a mutable library, by monotonic id."""
 
     def __init__(self) -> None:
-        self._actions: list[ActionLabel] = []
-        self._action_to_id: dict[ActionLabel, int] = {}
-        self._goals: list[GoalLabel] = []
-        self._goal_to_id: dict[GoalLabel, int] = {}
-        self._impl_actions: dict[int, frozenset[int]] = {}  # GI-A-idx
-        self._impl_goal: dict[int, int] = {}  # GI-G-idx
-        self._action_impls: dict[int, set[int]] = {}  # A-GI-idx
-        self._goal_impls: dict[int, set[int]] = {}  # G-GI-idx
-        self._dedup: dict[tuple[int, frozenset[int]], int] = {}
+        # Ascending pid order: ids only grow and removal keeps dict order.
+        self._live: dict[int, GoalImplementation] = {}
+        self._dedup: dict[tuple[GoalLabel, frozenset[ActionLabel]], int] = {}
         self._next_impl_id = 0
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
 
     @classmethod
     def from_library(cls, library: ImplementationLibrary) -> "IncrementalGoalModel":
-        """Seed an incremental model from an existing library."""
+        """Seed a log from an existing library."""
         model = cls()
         for impl in library:
             model.add_implementation(impl.goal, impl.actions)
         return model
 
-    def _intern_action(self, label: ActionLabel) -> int:
-        aid = self._action_to_id.get(label)
-        if aid is None:
-            aid = len(self._actions)
-            self._action_to_id[label] = aid
-            self._actions.append(label)
-            self._action_impls[aid] = set()
-        return aid
-
-    def _intern_goal(self, label: GoalLabel) -> int:
-        gid = self._goal_to_id.get(label)
-        if gid is None:
-            gid = len(self._goals)
-            self._goal_to_id[label] = gid
-            self._goals.append(label)
-            self._goal_impls[gid] = set()
-        return gid
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-
     def add_implementation(
         self, goal: GoalLabel, actions: Iterable[ActionLabel]
     ) -> int:
-        """Index a new ``(goal, actions)`` implementation; return its id.
+        """Record a new ``(goal, actions)`` implementation; return its id.
 
         Duplicates of a live implementation return the existing id.  Raises
         :class:`ModelError` on an empty action set.
         """
-        encoded = frozenset(
-            self._intern_action(label) for label in sorted(set(actions), key=str)
-        )
-        if not encoded:
+        labels = frozenset(actions)
+        if not labels:
             raise ModelError(f"implementation of {goal!r} has no actions")
-        gid = self._intern_goal(goal)
-        key = (gid, encoded)
+        key = (goal, labels)
         existing = self._dedup.get(key)
         if existing is not None:
             return existing
         pid = self._next_impl_id
         self._next_impl_id += 1
-        self._impl_actions[pid] = encoded
-        self._impl_goal[pid] = gid
-        self._goal_impls[gid].add(pid)
-        for aid in encoded:
-            self._action_impls[aid].add(pid)
+        self._live[pid] = GoalImplementation(goal=goal, actions=labels, impl_id=pid)
         self._dedup[key] = pid
         return pid
 
     def remove_implementation(self, pid: int) -> None:
-        """Remove implementation ``pid`` from every index.
+        """Retire implementation ``pid``.
 
         Raises :class:`ModelError` when ``pid`` is not live.
         """
-        encoded = self._impl_actions.pop(pid, None)
-        if encoded is None:
+        impl = self._live.pop(pid, None)
+        if impl is None:
             raise ModelError(f"no live implementation with id {pid}")
-        gid = self._impl_goal.pop(pid)
-        self._goal_impls[gid].discard(pid)
-        for aid in encoded:
-            self._action_impls[aid].discard(pid)
-        del self._dedup[(gid, encoded)]
-
-    # ------------------------------------------------------------------
-    # Sizes and label translation (query surface shared with the frozen model)
-    # ------------------------------------------------------------------
-
-    @property
-    def num_actions(self) -> int:
-        """Number of interned actions (including orphaned ones)."""
-        return len(self._actions)
-
-    @property
-    def num_goals(self) -> int:
-        """Number of interned goals (including goals with no live impl)."""
-        return len(self._goals)
+        del self._dedup[(impl.goal, impl.actions)]
 
     @property
     def num_implementations(self) -> int:
         """Number of *live* implementations."""
-        return len(self._impl_actions)
-
-    def action_id(self, label: ActionLabel) -> int:
-        """Id of an action label; raises :class:`UnknownActionError`."""
-        try:
-            return self._action_to_id[label]
-        except KeyError:
-            raise UnknownActionError(label) from None
-
-    def goal_id(self, label: GoalLabel) -> int:
-        """Id of a goal label; raises :class:`UnknownGoalError`."""
-        try:
-            return self._goal_to_id[label]
-        except KeyError:
-            raise UnknownGoalError(label) from None
-
-    def action_label(self, aid: int) -> ActionLabel:
-        """Label of an action id."""
-        return self._actions[aid]
-
-    def goal_label(self, gid: int) -> GoalLabel:
-        """Label of a goal id."""
-        return self._goals[gid]
-
-    def has_action(self, label: ActionLabel) -> bool:
-        """``True`` when ``label`` was ever interned."""
-        return label in self._action_to_id
-
-    def has_goal(self, label: GoalLabel) -> bool:
-        """``True`` when ``label`` was ever interned."""
-        return label in self._goal_to_id
-
-    def encode_activity(
-        self, activity: Iterable[ActionLabel], strict: bool = False
-    ) -> frozenset[int]:
-        """Translate labels to ids, dropping unknowns unless ``strict``."""
-        encoded: set[int] = set()
-        for label in activity:
-            aid = self._action_to_id.get(label)
-            if aid is None:
-                if strict:
-                    raise UnknownActionError(label)
-                continue
-            encoded.add(aid)
-        return frozenset(encoded)
-
-    # ------------------------------------------------------------------
-    # Index access
-    # ------------------------------------------------------------------
-
-    def implementation_actions(self, pid: int) -> frozenset[int]:
-        """``GI-A-idx[pid]``; raises :class:`ModelError` if not live."""
-        try:
-            return self._impl_actions[pid]
-        except KeyError:
-            raise ModelError(f"no live implementation with id {pid}") from None
-
-    def implementation_goal(self, pid: int) -> int:
-        """``GI-G-idx[pid]``; raises :class:`ModelError` if not live."""
-        try:
-            return self._impl_goal[pid]
-        except KeyError:
-            raise ModelError(f"no live implementation with id {pid}") from None
-
-    def implementations_of_action(self, aid: int) -> frozenset[int]:
-        """``A-GI-idx[aid]`` over live implementations."""
-        return frozenset(self._action_impls.get(aid, ()))
-
-    def implementations_of_goal(self, gid: int) -> frozenset[int]:
-        """``G-GI-idx[gid]`` over live implementations."""
-        return frozenset(self._goal_impls.get(gid, ()))
-
-    def implementation(self, pid: int) -> GoalImplementation:
-        """Reconstruct a live implementation at the label level."""
-        return GoalImplementation(
-            goal=self._goals[self.implementation_goal(pid)],
-            actions=frozenset(
-                self._actions[a] for a in self.implementation_actions(pid)
-            ),
-            impl_id=pid,
-        )
-
-    # ------------------------------------------------------------------
-    # Space queries
-    # ------------------------------------------------------------------
-
-    def implementation_space(self, activity: frozenset[int]) -> set[int]:
-        """``IS(H)`` over live implementations."""
-        space: set[int] = set()
-        for aid in activity:
-            space |= self._action_impls.get(aid, set())
-        return space
-
-    def goal_space(self, activity: frozenset[int]) -> set[int]:
-        """``GS(H)`` over live implementations."""
-        return {
-            self._impl_goal[pid] for pid in self.implementation_space(activity)
-        }
-
-    def action_space(self, activity: frozenset[int]) -> set[int]:
-        """``AS(H)`` over live implementations."""
-        space: set[int] = set()
-        for pid in self.implementation_space(activity):
-            space |= self._impl_actions[pid]
-        return space
-
-    def candidate_actions(self, activity: frozenset[int]) -> set[int]:
-        """``AS(H) − H``."""
-        return self.action_space(activity) - activity
-
-    def goal_completeness(self, gid: int, activity: frozenset[int]) -> float:
-        """Best completeness of goal ``gid`` over its live implementations."""
-        best = 0.0
-        for pid in self._goal_impls.get(gid, ()):
-            impl_actions = self._impl_actions[pid]
-            value = len(impl_actions & activity) / len(impl_actions)
-            if value > best:
-                best = value
-        return best
-
-    def goal_space_labels(self, activity: Iterable[ActionLabel]) -> set[GoalLabel]:
-        """Label-level ``GS(H)``."""
-        encoded = self.encode_activity(activity)
-        return {self._goals[gid] for gid in self.goal_space(encoded)}
-
-    # ------------------------------------------------------------------
-    # Derived statistics (defined for every model state, including empty)
-    # ------------------------------------------------------------------
+        return len(self._live)
 
     def live_implementation_ids(self) -> list[int]:
         """Ids of the live implementations, ascending."""
-        return sorted(self._impl_actions)
+        return list(self._live)
 
-    def connectivity(self) -> float:
-        """Average live implementations per action *with* live implementations.
-
-        Orphaned actions (interned, but every implementation containing them
-        was removed) are excluded from the denominator, matching what a
-        freeze-and-recount would measure.  A model with no live
-        implementations has connectivity 0.0 — not a :class:`ZeroDivisionError`.
-        """
-        live_counts = [len(s) for s in self._action_impls.values() if s]
-        if not live_counts:
-            return 0.0
-        return sum(live_counts) / len(live_counts)
-
-    def stats(self) -> LibraryStats:
-        """Library statistics over the *live* implementations.
-
-        Counts goals and actions that currently participate in at least one
-        live implementation, so the numbers agree with :meth:`freeze` (which
-        drops orphans).  With zero live implementations every field is a
-        well-defined zero — the incremental model intentionally outlives the
-        remove-the-last-implementation edge that the frozen model rejects.
-        """
-        lengths = [len(actions) for actions in self._impl_actions.values()]
-        live_goals = sum(1 for pids in self._goal_impls.values() if pids)
-        live_actions = sum(1 for pids in self._action_impls.values() if pids)
-        return LibraryStats(
-            num_implementations=len(lengths),
-            num_goals=live_goals,
-            num_actions=live_actions,
-            connectivity=self.connectivity(),
-            avg_implementation_length=(
-                sum(lengths) / len(lengths) if lengths else 0.0
-            ),
-            max_implementation_length=max(lengths, default=0),
-            avg_implementations_per_goal=(
-                len(lengths) / live_goals if live_goals else 0.0
-            ),
-        )
-
-    def action_space_labels(self, activity: Iterable[ActionLabel]) -> set[ActionLabel]:
-        """Label-level ``AS(H)``."""
-        encoded = self.encode_activity(activity)
-        return {self._actions[aid] for aid in self.action_space(encoded)}
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
+    def implementation(self, pid: int) -> GoalImplementation:
+        """The live implementation ``pid``; raises :class:`ModelError` if
+        it is not live."""
+        try:
+            return self._live[pid]
+        except KeyError:
+            raise ModelError(f"no live implementation with id {pid}") from None
 
     def to_library(self) -> ImplementationLibrary:
         """Export the live implementations, in ascending id order."""
-        library = ImplementationLibrary()
-        for pid in sorted(self._impl_actions):
-            library.add(self.implementation(pid))
-        return library
+        return ImplementationLibrary(self._live.values())
 
     def freeze(self) -> AssociationGoalModel:
-        """Compact into an immutable model for read-heavy serving.
+        """Index the live implementations into an immutable model.
 
-        Orphaned actions/goals are dropped; ids are re-densified, so frozen
-        ids are *not* comparable with incremental ids.  Raises
+        Model ids are dense in ascending log-id order, so they are *not*
+        comparable with log ids once anything was removed.  Raises
         :class:`ModelError` when no implementation is live.
         """
-        if not self._impl_actions:
+        if not self._live:
             raise ModelError("cannot freeze a model with no live implementations")
-        return AssociationGoalModel.from_library(self.to_library())
+        return AssociationGoalModel.from_library(self._live.values())

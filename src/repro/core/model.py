@@ -121,8 +121,11 @@ class AssociationGoalModel:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_library(cls, library: ImplementationLibrary) -> "AssociationGoalModel":
-        """Index an :class:`ImplementationLibrary` into a model."""
+    def from_library(
+        cls, library: Iterable[GoalImplementation]
+    ) -> "AssociationGoalModel":
+        """Index an :class:`ImplementationLibrary` (or any duplicate-free
+        sequence of implementations) into a model, in iteration order."""
         with obs.trace_span("model.from_library") as span:
             start = perf_counter()
             model = cls._build_from_library(library)
@@ -138,7 +141,7 @@ class AssociationGoalModel:
 
     @classmethod
     def _build_from_library(
-        cls, library: ImplementationLibrary
+        cls, library: Iterable[GoalImplementation]
     ) -> "AssociationGoalModel":
         action_to_id: dict[ActionLabel, int] = {}
         goal_to_id: dict[GoalLabel, int] = {}

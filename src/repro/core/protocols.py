@@ -1,14 +1,15 @@
 """Structural typing for the model query surface and ranking strategies.
 
-The codebase has three interchangeable model implementations —
-:class:`~repro.core.model.AssociationGoalModel` (frozen),
-:class:`~repro.core.incremental.IncrementalGoalModel` (mutable) and
+The codebase has two interchangeable model implementations —
+:class:`~repro.core.model.AssociationGoalModel` and
 :class:`~repro.core.caching.CachedModelView` (model + CSR engine) — and
-strategies accept any of them because they only use the shared query
-surface.  Until now that contract was duck-typed; :class:`ModelView`
-states it as a :class:`~typing.Protocol`, so ``mypy --strict`` checks both
-sides: a strategy cannot call off-surface methods, and a new model
-implementation cannot silently miss part of the surface.
+strategies accept either because they only use the shared query surface.
+The mutable :class:`~repro.core.incremental.IncrementalGoalModel` is a
+mutation log, not a model view: it is read through the model its
+``freeze()`` indexes.  :class:`ModelView` states the contract as a
+:class:`~typing.Protocol`, so ``mypy --strict`` checks both sides: a
+strategy cannot call off-surface methods, and a new model implementation
+cannot silently miss part of the surface.
 
 :class:`Strategy` is the structural counterpart of
 :class:`~repro.core.strategies.base.RankingStrategy` for call sites that
@@ -20,7 +21,7 @@ carries a CSR engine.
 
 Both protocols are ``runtime_checkable``: ``isinstance(view, ModelView)``
 verifies method *presence* (not signatures), which the test suite uses to
-pin all three implementations to the surface.
+pin both implementations to the surface.
 """
 
 from __future__ import annotations

@@ -60,12 +60,13 @@ Endpoints (JSON unless noted):
 - ``PUT    /model/implementations`` — body ``{"implementations":
   [{"goal": g, "actions": [...]}, ...]}`` → hot-add implementations;
 - ``DELETE /model/implementations/<id>`` — hot-remove one implementation
-  by its (stable, incremental) id.
+  by its (stable, monotonic) id.
 
-Hot reload semantics: the service owns an
-:class:`~repro.core.incremental.IncrementalGoalModel` behind a
-readers-writer lock.  Mutations take the write lock, update the incremental
-indexes, refreeze a serving snapshot, build its CSR engine and bump the
+Hot reload semantics: the service owns a mutation log
+(:class:`~repro.core.incremental.IncrementalGoalModel`) behind a
+readers-writer lock.  Generation 0 serves the model the service was
+given; each mutation takes the write lock, appends to the log, freezes a
+new serving model, builds its CSR engine and bumps the
 **generation counter**; the swap invalidates the recommendation and
 implementation-space LRUs and publishes the snapshot only once its engine
 is built, so no ``ThreadingHTTPServer`` worker thread ever observes a
@@ -165,6 +166,7 @@ from repro._version import __version__
 from repro.core.approximate import PrunedBreadthStrategy
 from repro.core.caching import CachedModelView, CachingRecommender, LRUCache
 from repro.core.entities import ActionLabel, GoalLabel, RecommendationList
+from repro.core.library import LibraryStats
 from repro.core.incremental import IncrementalGoalModel
 from repro.core.model import AssociationGoalModel
 from repro.core.recommender import GoalRecommender, PAPER_STRATEGIES
@@ -342,16 +344,26 @@ class _RequestRecord:
 
 _LOG = obs.get_logger("repro.service")
 
+#: ``/health`` statistics of a generation with no live implementation.
+_EMPTY_STATS = LibraryStats(
+    num_implementations=0,
+    num_goals=0,
+    num_actions=0,
+    connectivity=0.0,
+    avg_implementation_length=0.0,
+    max_implementation_length=0,
+    avg_implementations_per_goal=0.0,
+)
+
 #: Lock discipline, machine-checked by ``repro-lint`` (rule RL001, see
 #: docs/static-analysis.md).  ``ModelManager`` methods either take the
 #: RWLock themselves or carry the ``_locked`` suffix marking that their
 #: caller already holds it.
 _GUARDED_BY = {
-    "ModelManager._incremental": "_lock",
+    "ModelManager._log": "_lock",
     "ModelManager._generation": "_lock",
     "ModelManager._snapshot": "_lock",
     "ModelManager._base_recommender": "_lock",
-    "ModelManager._initial_engine": "_lock",
     "ModelManager._lock": "<final>",
     # Set once during single-threaded worker bootstrap, before the server
     # thread exists; read-only afterwards.
@@ -400,18 +412,21 @@ class ModelSnapshot:
 
 
 class ModelManager:
-    """The mutable serving state: incremental model, cache, generation.
+    """The mutable serving state: mutation log, cache, generation.
 
-    Readers call :meth:`snapshot` (read lock, O(1)) and work against the
-    returned :class:`ModelSnapshot`.  Writers (:meth:`add_implementations`,
-    :meth:`remove_implementation`) take the write lock for the whole
-    mutate-refreeze-invalidate-swap sequence, so the generation counter,
-    the result cache and the engine always change together.
+    Generation 0 serves the :class:`AssociationGoalModel` it is given (or
+    ``engine.model`` when it is given a log plus an engine); every later
+    generation freezes the log.  Readers call :meth:`snapshot` (read lock,
+    O(1)) and work against the returned :class:`ModelSnapshot`.  Writers
+    (:meth:`add_implementations`, :meth:`remove_implementation`) take the
+    write lock for the whole mutate-refreeze-invalidate-swap sequence, so
+    the generation counter, the result cache and the engine always change
+    together.
     """
 
     def __init__(
         self,
-        incremental: IncrementalGoalModel,
+        model: AssociationGoalModel | IncrementalGoalModel,
         cache_size: int = 1024,
         on_swap: Callable[[ModelSnapshot], None] | None = None,
         approx_budget: int = 128,
@@ -419,16 +434,22 @@ class ModelManager:
         engine: BatchRecommender | None = None,
     ) -> None:
         self._lock = RWLock(site="ModelManager._lock")
-        self._incremental = incremental
+        # Generation 0 serves the engine's model when there is an engine (a
+        # worker hands over a log plus its shared-memory engine), else the
+        # model given; only a bare log is frozen.
+        served: AssociationGoalModel | None
+        if isinstance(model, IncrementalGoalModel):
+            self._log, served = model, None
+        else:
+            self._log = IncrementalGoalModel.from_library(model.to_library())
+            served = model
+        if engine is not None:
+            served = engine.model
         # ``initial_generation`` lets a respawned multi-worker process
         # (forked from the parent's *current* model state) report the same
         # generation as its surviving siblings instead of restarting at 0.
         self._generation = initial_generation
         self._approx_budget = approx_budget
-        # The CSR engine of the *initial* snapshot only — workers pass a
-        # shared-memory reconstruction here.  The first snapshot build
-        # consumes it; every later generation builds its own.
-        self._initial_engine = engine
         # When set (multi-worker mode), public mutations are forwarded to
         # the parent for serialization instead of applied locally — see
         # set_mutation_router().
@@ -440,7 +461,7 @@ class ModelManager:
         self._on_swap = on_swap
         self.recommendation_cache = LRUCache(cache_size, name="recommendations")
         self._base_recommender: GoalRecommender | None = None
-        self._snapshot = self._build_snapshot_locked()
+        self._snapshot = self._build_snapshot_locked(served, engine)
         self._publish_generation_locked()
 
     def set_mutation_router(self, router: Any) -> None:
@@ -463,11 +484,21 @@ class ModelManager:
     # still single-threaded in __init__)
     # ------------------------------------------------------------------
 
-    def _build_snapshot_locked(self) -> ModelSnapshot:
-        engine, self._initial_engine = self._initial_engine, None
-        if self._incremental.num_implementations == 0:
+    def _build_snapshot_locked(
+        self,
+        frozen: AssociationGoalModel | None = None,
+        engine: BatchRecommender | None = None,
+    ) -> ModelSnapshot:
+        if self._log.num_implementations == 0:
             return ModelSnapshot(self._generation, None, None, None)
-        frozen = self._incremental.freeze()
+        if (
+            frozen is None
+            or frozen.num_implementations != self._log.num_implementations
+        ):
+            # A given model serves only while it indexes exactly the log's
+            # live implementations (a duplicate-holding model does not),
+            # so its ids are the log's ids.
+            frozen, engine = self._log.freeze(), None
         # The view builds the generation's CSR engine here, before the
         # snapshot is published, unless it was handed the initial one.
         cached_view = CachedModelView(frozen, engine=engine)
@@ -517,7 +548,7 @@ class ModelManager:
             ).inc()
         obs.log_event(
             _LOG, "model.reload", op=op, generation=self._generation,
-            implementations=self._incremental.num_implementations,
+            implementations=self._log.num_implementations,
         )
         if self._on_swap is not None:
             self._on_swap(self._snapshot)
@@ -542,23 +573,23 @@ class ModelManager:
             return self._snapshot
 
     def stats(self) -> dict[str, Any]:
-        """Live model statistics for ``/health`` (consistent read)."""
+        """The served generation's statistics for ``/health``."""
         with self._lock.read_locked():
-            model = self._incremental
-            return {
-                "generation": self._generation,
-                "implementations": model.num_implementations,
-                "goals": model.num_goals,
-                "actions": model.num_actions,
-                "library": dataclasses.asdict(model.stats()),
-            }
+            snap = self._snapshot
+        library = _EMPTY_STATS if snap.frozen is None else snap.frozen.stats()
+        return {
+            "generation": snap.generation,
+            "implementations": library.num_implementations,
+            "goals": library.num_goals,
+            "actions": library.num_actions,
+            "library": dataclasses.asdict(library),
+        }
 
     def describe(self) -> dict[str, Any]:
         """Serving-state summary for ``GET /model``."""
         with self._lock.read_locked():
-            model = self._incremental
             generation = self._generation
-            live = model.live_implementation_ids()
+            live = self._log.live_implementation_ids()
         stats = self.recommendation_cache.stats()
         payload = dataclasses.asdict(stats)
         payload["hit_rate"] = stats.hit_rate
@@ -616,7 +647,7 @@ class ModelManager:
         set raises :class:`ModelError` with nothing applied), and if an add
         still fails mid-list the already-applied ones are published through
         the normal invalidate-and-swap so serving state never diverges from
-        the incremental model.
+        the log.
         """
         inject("model")
         materialized = [(goal, list(actions)) for goal, actions in pairs]
@@ -638,16 +669,13 @@ class ModelManager:
         The local half of :meth:`add_implementations`: in single-process
         mode it is called directly; in multi-worker mode every worker's
         control thread calls it with the parent's broadcast, so each
-        process's incremental model replays the identical mutation
-        sequence.
+        process's log replays the identical mutation sequence.
         """
         with self._lock.write_locked():
             ids: list[int] = []
             try:
                 for goal, actions in pairs:
-                    ids.append(
-                        self._incremental.add_implementation(goal, actions)
-                    )
+                    ids.append(self._log.add_implementation(goal, actions))
             except BaseException:
                 if ids:
                     self._swap_locked("add")
@@ -671,18 +699,13 @@ class ModelManager:
         :meth:`apply_add_implementations` for the single- vs multi-worker
         split)."""
         with self._lock.write_locked():
-            self._incremental.remove_implementation(pid)
+            self._log.remove_implementation(pid)
             return self._swap_locked("remove")
 
     def num_implementations(self) -> int:
-        """Live implementation count, read consistently under the lock.
-
-        The previous ``incremental`` property handed the unsynchronized
-        model out to callers; every remaining use only ever needed this
-        one number, so expose exactly that instead of the mutable object.
-        """
+        """Live implementation count, read consistently under the lock."""
         with self._lock.read_locked():
-            return self._incremental.num_implementations
+            return self._log.num_implementations
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -1661,10 +1684,11 @@ class RecommenderService:
     """Threaded HTTP server wrapping the cached, hot-reloadable serving layer.
 
     Args:
-        model: the goal model to serve — either a frozen
-            :class:`AssociationGoalModel` (re-indexed into an incremental
-            model so hot reload works) or an
-            :class:`IncrementalGoalModel` used as-is.
+        model: the goal model to serve — an
+            :class:`AssociationGoalModel`, which generation 0 serves as-is
+            (hot reload records mutations in a log built from it), or an
+            :class:`IncrementalGoalModel` log, which is frozen unless
+            ``engine`` carries its model.
         host: bind address (loopback by default).
         port: TCP port; 0 binds an ephemeral port (read :attr:`port` after
             construction).
@@ -1729,8 +1753,8 @@ class RecommenderService:
             generation instead of 0.
         engine: the initial generation's CSR engine; the multi-worker
             bootstrap passes the zero-copy shared-memory reconstruction so
-            workers skip the sparse products.  ``None`` builds it from the
-            model.
+            workers skip the sparse products, and generation 0 serves
+            ``engine.model``.  ``None`` builds it from the model.
     """
 
     def __init__(
@@ -1799,12 +1823,8 @@ class RecommenderService:
             latency_objective_seconds=slo_latency_ms / 1000.0,
             latency_target=slo_latency_target,
         )
-        if isinstance(model, IncrementalGoalModel):
-            incremental = model
-        else:
-            incremental = IncrementalGoalModel.from_library(model.to_library())
         self.manager = ModelManager(
-            incremental,
+            model,
             cache_size=cache_size,
             on_swap=self._on_model_swap,
             approx_budget=approx_budget,

@@ -17,14 +17,20 @@ Mutation protocol
     handlers route through a :class:`_WorkerMutationRouter` installed on
     the worker's :class:`~repro.service.ModelManager`: the mutation
     travels to the parent over the worker's control pipe, the parent
-    applies it to its own incremental model under the supervisor lock
+    applies it to its own mutation log under the supervisor lock
     (validating it exactly once) and broadcasts an ordered ``apply``
     command to *every* worker over the same pipes.  Each worker's
     control thread replays the command through
     ``ModelManager.apply_add_implementations`` /
     ``apply_remove_implementation`` — identical mutation order plus the
-    incremental model's deterministic interning means every process
-    assigns the same implementation ids and reaches the same generation.
+    log's monotonic id counter means every process assigns the same
+    implementation ids and reaches the same generation.
+
+Generation 0
+    Each worker serves the parent's loaded model itself: its engine is
+    rebuilt zero-copy from the arena and bound to that model, and the
+    worker's log (forked from the parent's) lists the same
+    implementations under the same ids, so no worker re-indexes.
 
 Lifecycle
     SIGTERM/SIGINT on the parent fans a ``drain`` command out to every
@@ -67,7 +73,7 @@ from repro.utils.concurrency import make_lock
 #: inherits the parent's metrics-registry lock mid-operation: the parent
 #: deliberately reports through plain stderr prints, not ``repro.obs``).
 _GUARDED_BY = {
-    "WorkerSupervisor._incremental": "_lock",
+    "WorkerSupervisor._log": "_lock",
     "WorkerSupervisor._generation": "_lock",
     "WorkerSupervisor._mutations": "_lock",
     "WorkerSupervisor._pipes": "_lock",
@@ -141,7 +147,7 @@ class _WorkerConfig:
     conn: Connection[Any, Any]
     host: str
     port: int
-    incremental: IncrementalGoalModel
+    log: IncrementalGoalModel
     frozen: AssociationGoalModel | None
     arena: SharedModelArena | None
     initial_generation: int
@@ -313,8 +319,10 @@ def _worker_main(config: _WorkerConfig) -> int:
 
     from repro.service import RecommenderService
 
+    # With an engine, generation 0 serves ``engine.model`` (config.frozen)
+    # and does not freeze the log.
     service = RecommenderService(
-        config.incremental,
+        config.log,
         host=config.host,
         port=config.port,
         reuse_port=config.reuse_port,
@@ -362,7 +370,7 @@ def _worker_entry(config: _WorkerConfig) -> None:
 class WorkerSupervisor:
     """The parent process of a ``--workers N`` pool.
 
-    Owns the canonical incremental model (the serialization point for
+    Owns the canonical mutation log (the serialization point for
     hot mutations), the worker processes with their control pipes, and
     the crash-restart budget.  Everything after the first fork happens
     under one lock so a respawned worker always forks from a consistent
@@ -377,7 +385,7 @@ class WorkerSupervisor:
     def __init__(
         self,
         *,
-        incremental: IncrementalGoalModel,
+        log: IncrementalGoalModel,
         frozen: AssociationGoalModel | None,
         arena: SharedModelArena | None,
         host: str,
@@ -389,7 +397,7 @@ class WorkerSupervisor:
         service_kwargs: dict[str, Any],
     ) -> None:
         self._lock = make_lock("WorkerSupervisor._lock")
-        self._incremental = incremental
+        self._log = log
         self._frozen = frozen
         self._arena = arena
         self._host = host
@@ -419,7 +427,7 @@ class WorkerSupervisor:
             conn=child_conn,
             host=self._host,
             port=self._port,
-            incremental=self._incremental,
+            log=self._log,
             frozen=self._frozen,
             # The arena describes the *initial* frozen arrays; once a
             # mutation landed, a respawned worker must refreeze instead.
@@ -519,10 +527,10 @@ class WorkerSupervisor:
             try:
                 if kind == "add":
                     for goal, actions in payload:
-                        self._incremental.add_implementation(goal, actions)
+                        self._log.add_implementation(goal, actions)
                         applied.append((goal, actions))
                 else:
-                    self._incremental.remove_implementation(payload)
+                    self._log.remove_implementation(payload)
             except ModelError as exc:
                 if applied:
                     # A mid-batch failure (defensive: adds are
@@ -704,11 +712,11 @@ def run_worker_pool(
     if port == 0 or not hasattr(socket, "SO_REUSEPORT"):
         listener = _build_parent_listener(host, port)
 
-    incremental = IncrementalGoalModel.from_library(model.to_library())
+    log = IncrementalGoalModel.from_library(model.to_library())
     arena, frozen = _build_arena(model)
 
     supervisor = WorkerSupervisor(
-        incremental=incremental,
+        log=log,
         frozen=frozen,
         arena=arena,
         host=host,

@@ -1,15 +1,16 @@
-"""Unit tests for the incrementally maintainable goal model."""
+"""Unit tests for the mutation log and the model its ``freeze()`` indexes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AssociationGoalModel,
     GoalRecommender,
-    ImplementationLibrary,
     IncrementalGoalModel,
 )
 from repro.core.strategies import create_strategy
-from repro.exceptions import ModelError, UnknownActionError
+from repro.exceptions import ModelError
 
 
 @pytest.fixture
@@ -20,11 +21,22 @@ def model(figure1_pairs):
     return incremental
 
 
+def assert_id_identical(left: AssociationGoalModel, right: AssociationGoalModel):
+    """Same label order and the same implementations under the same ids."""
+    assert left.action_labels() == right.action_labels()
+    assert left.goal_labels() == right.goal_labels()
+    assert left.num_implementations == right.num_implementations
+    for pid in range(left.num_implementations):
+        assert left.implementation_actions(pid) == right.implementation_actions(pid)
+        assert left.implementation_goal(pid) == right.implementation_goal(pid)
+
+
 class TestAdd:
     def test_counts(self, model):
         assert model.num_implementations == 5
-        assert model.num_goals == 5
-        assert model.num_actions == 6
+        frozen = model.freeze()
+        assert frozen.num_goals == 5
+        assert frozen.num_actions == 6
 
     def test_duplicate_returns_existing_id(self, model):
         pid = model.add_implementation("g1", {"a1", "a2", "a3"})
@@ -44,12 +56,13 @@ class TestAdd:
 
 class TestRemove:
     def test_remove_updates_spaces(self, model):
-        # g5's implementation is {a1, a6}; removing it shrinks a1's spaces.
-        gid = model.goal_id("g5")
-        (pid,) = model.implementations_of_goal(gid)
-        model.remove_implementation(pid)
-        assert model.goal_space_labels({"a1"}) == {"g1", "g2", "g3"}
-        assert "a6" not in model.action_space_labels({"a1"})
+        # g5's implementation (id 4) is {a1, a6}; removing it shrinks a1's
+        # spaces in the next freeze.
+        assert model.implementation(4).goal == "g5"
+        model.remove_implementation(4)
+        frozen = model.freeze()
+        assert frozen.goal_space_labels({"a1"}) == {"g1", "g2", "g3"}
+        assert "a6" not in frozen.action_space_labels({"a1"})
 
     def test_remove_unknown_raises(self, model):
         with pytest.raises(ModelError, match="no live"):
@@ -64,62 +77,46 @@ class TestRemove:
         model.remove_implementation(0)
         pid = model.add_implementation("g1", {"a1", "a2", "a3"})
         assert pid != 0
-        assert model.goal_space_labels({"a2"}) >= {"g1"}
-
-    def test_orphaned_action_keeps_id_with_empty_space(self, model):
-        gid = model.goal_id("g4")
-        (pid,) = model.implementations_of_goal(gid)
-        # a6 also appears in g5's implementation; remove both.
-        gid5 = model.goal_id("g5")
-        (pid5,) = model.implementations_of_goal(gid5)
-        model.remove_implementation(pid)
-        model.remove_implementation(pid5)
-        aid = model.action_id("a6")  # still interned
-        assert model.implementations_of_action(aid) == frozenset()
-        assert model.goal_space(frozenset({aid})) == set()
+        assert model.freeze().goal_space_labels({"a2"}) >= {"g1"}
 
 
 class TestQueriesMatchFrozenModel:
     def test_spaces_agree(self, figure1_pairs, model):
-        frozen = AssociationGoalModel.from_pairs(figure1_pairs)
+        expected = AssociationGoalModel.from_pairs(figure1_pairs)
+        frozen = model.freeze()
         for activity in ({"a1"}, {"a2", "a6"}, {"a4", "a5"}):
-            assert model.goal_space_labels(activity) == frozen.goal_space_labels(
-                activity
+            assert frozen.goal_space_labels(activity) == (
+                expected.goal_space_labels(activity)
             )
-            assert model.action_space_labels(activity) == frozen.action_space_labels(
-                activity
+            assert frozen.action_space_labels(activity) == (
+                expected.action_space_labels(activity)
             )
 
     def test_strategies_run_against_incremental(self, model):
-        activity = model.encode_activity({"a1"})
+        frozen = model.freeze()
+        activity = frozen.encode_activity({"a1"})
         for name in ("focus_cmp", "focus_cl", "breadth", "best_match"):
-            ranked = create_strategy(name).rank(model, activity, k=5)
-            labels = {model.action_label(aid) for aid, _ in ranked}
+            ranked = create_strategy(name).rank(frozen, activity, k=5)
+            labels = {frozen.action_label(aid) for aid, _ in ranked}
             assert labels
             assert "a1" not in labels
 
-    def test_goal_recommender_accepts_incremental(self, model):
-        result = GoalRecommender(model).recommend({"a1"}, k=3)
-        assert len(result) == 3
-
     def test_recommendations_change_after_update(self, model):
-        recommender = GoalRecommender(model)
-        before = recommender.recommend({"a1"}, k=10).action_set()
+        before = GoalRecommender(model.freeze()).recommend({"a1"}, k=10)
         model.add_implementation("new goal", {"a1", "fresh_action"})
-        after = recommender.recommend({"a1"}, k=10).action_set()
-        assert "fresh_action" in after
-        assert "fresh_action" not in before
+        after = GoalRecommender(model.freeze()).recommend({"a1"}, k=10)
+        assert "fresh_action" in after.action_set()
+        assert "fresh_action" not in before.action_set()
 
 
 class TestFreeze:
-    def test_freeze_equivalent_queries(self, model):
-        frozen = model.freeze()
-        assert frozen.goal_space_labels({"a1"}) == model.goal_space_labels({"a1"})
+    def test_freeze_equivalent_queries(self, figure1_pairs, model):
+        assert_id_identical(
+            model.freeze(), AssociationGoalModel.from_pairs(figure1_pairs)
+        )
 
     def test_freeze_drops_orphans(self, model):
-        model.add_implementation("temp", {"ephemeral"})
-        gid = model.goal_id("temp")
-        (pid,) = model.implementations_of_goal(gid)
+        pid = model.add_implementation("temp", {"ephemeral"})
         model.remove_implementation(pid)
         frozen = model.freeze()
         assert not frozen.has_action("ephemeral")
@@ -139,46 +136,35 @@ class TestFreeze:
 
 
 class TestMisc:
-    def test_unknown_action_strict_encoding(self, model):
-        with pytest.raises(UnknownActionError):
-            model.encode_activity({"nope"}, strict=True)
-
     def test_goal_completeness(self, model):
-        encoded = model.encode_activity({"a1", "a2"})
-        assert model.goal_completeness(model.goal_id("g1"), encoded) == pytest.approx(
-            2 / 3
-        )
+        frozen = model.freeze()
+        encoded = frozen.encode_activity({"a1", "a2"})
+        assert frozen.goal_completeness(
+            frozen.goal_id("g1"), encoded
+        ) == pytest.approx(2 / 3)
 
     def test_implementation_reconstruction(self, model):
         impl = model.implementation(0)
         assert impl.goal == "g1"
         assert impl.actions == frozenset({"a1", "a2", "a3"})
+        assert impl.impl_id == 0
 
     def test_dead_implementation_access_raises(self, model):
         model.remove_implementation(0)
-        with pytest.raises(ModelError):
-            model.implementation_actions(0)
-        with pytest.raises(ModelError):
-            model.implementation_goal(0)
+        with pytest.raises(ModelError, match="no live"):
+            model.implementation(0)
 
 
 class TestEmptyModelLifecycle:
-    """Removing the last implementation must leave every derived statistic
-    well-defined, and the model must accept implementations again."""
+    """Removing the last implementation leaves an empty log that accepts
+    implementations again."""
 
     def test_remove_all_then_stats_are_zero(self, model):
         for pid in model.live_implementation_ids():
             model.remove_implementation(pid)
         assert model.num_implementations == 0
-        assert model.connectivity() == 0.0
-        stats = model.stats()
-        assert stats.num_implementations == 0
-        assert stats.num_goals == 0
-        assert stats.num_actions == 0
-        assert stats.connectivity == 0.0
-        assert stats.avg_implementation_length == 0.0
-        assert stats.max_implementation_length == 0
-        assert stats.avg_implementations_per_goal == 0.0
+        assert model.live_implementation_ids() == []
+        assert len(model.to_library()) == 0
 
     def test_remove_all_freeze_message_is_clear(self, model):
         for pid in model.live_implementation_ids():
@@ -195,45 +181,95 @@ class TestEmptyModelLifecycle:
         pid = model.add_implementation("revived", {"a1", "brand-new"})
         assert pid == before  # monotonic ids, never reused
         assert model.num_implementations == 1
-        assert model.goal_space_labels({"a1"}) == {"revived"}
         frozen = model.freeze()
         assert frozen.num_implementations == 1
         assert frozen.has_action("brand-new")
-
-    def test_empty_model_spaces_are_empty(self, model):
-        for pid in model.live_implementation_ids():
-            model.remove_implementation(pid)
-        encoded = model.encode_activity({"a1", "a2"})
-        assert model.implementation_space(encoded) == set()
-        assert model.goal_space(encoded) == set()
-        assert model.action_space(encoded) == set()
+        assert frozen.goal_space_labels({"a1"}) == {"revived"}
 
 
 class TestDerivedStatistics:
-    def test_stats_match_frozen_model(self, model):
-        assert model.stats() == model.freeze().stats()
-
-    def test_stats_exclude_orphans(self, model):
-        model.add_implementation("temp", {"ephemeral", "a1"})
-        gid = model.goal_id("temp")
-        (pid,) = model.implementations_of_goal(gid)
-        model.remove_implementation(pid)
-        stats = model.stats()
-        # "ephemeral" and "temp" are interned but orphaned: live counts
-        # must agree with what freeze() would keep.
-        assert stats == model.freeze().stats()
-        assert not any(
-            model.implementations_of_action(model.action_id("ephemeral"))
+    def test_stats_match_frozen_model(self, figure1_pairs, model):
+        assert model.freeze().stats() == (
+            AssociationGoalModel.from_pairs(figure1_pairs).stats()
         )
 
-    def test_connectivity_matches_frozen(self, model):
-        assert model.connectivity() == pytest.approx(
-            model.freeze().connectivity()
+    def test_stats_exclude_orphans(self, figure1_pairs, model):
+        pid = model.add_implementation("temp", {"ephemeral", "a1"})
+        model.remove_implementation(pid)
+        # "ephemeral" and "temp" left no live implementation: the freeze
+        # counts exactly what a rebuild from the live pairs would.
+        assert model.freeze().stats() == (
+            AssociationGoalModel.from_pairs(figure1_pairs).stats()
+        )
+
+    def test_connectivity_matches_frozen(self, figure1_pairs, model):
+        assert model.freeze().connectivity() == pytest.approx(
+            AssociationGoalModel.from_pairs(figure1_pairs).connectivity()
         )
 
     def test_live_implementation_ids_sorted(self, model):
         model.remove_implementation(1)
-        assert model.live_implementation_ids() == sorted(
-            model.live_implementation_ids()
-        )
-        assert 1 not in model.live_implementation_ids()
+        model.add_implementation("late", {"a9"})
+        live = model.live_implementation_ids()
+        assert live == sorted(live)
+        assert 1 not in live
+
+
+# ----------------------------------------------------------------------
+# The refreeze is id-identical
+# ----------------------------------------------------------------------
+
+#: A wide label space: random libraries, few ties.
+wide_pairs = st.lists(
+    st.tuples(
+        st.integers(0, 30).map(lambda g: f"g{g}"),
+        st.frozensets(
+            st.integers(0, 60).map(lambda a: f"a{a}"), min_size=1, max_size=6
+        ),
+    ),
+    min_size=1,
+    max_size=25,
+)
+#: Few labels, many repeated and overlapping sets: score ties everywhere.
+tie_pairs = st.lists(
+    st.tuples(
+        st.sampled_from(["g0", "g1"]),
+        st.frozensets(st.sampled_from(["a0", "a1", "a2", "a3"]), min_size=1),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(wide_pairs, tie_pairs))
+def test_refreeze_is_id_identical(pairs):
+    model = AssociationGoalModel.from_pairs(pairs)
+    assert_id_identical(
+        AssociationGoalModel.from_library(model.to_library()), model
+    )
+    assert_id_identical(
+        IncrementalGoalModel.from_library(model.to_library()).freeze(), model
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(wide_pairs, tie_pairs), st.data())
+def test_refreeze_is_id_identical_after_orphaning_removals(pairs, data):
+    """Removals orphan actions and goals; the freeze drops them and a
+    rebuild of its own export reproduces it id for id."""
+    log = IncrementalGoalModel()
+    pids = [log.add_implementation(goal, actions) for goal, actions in pairs]
+    live = sorted(set(pids))
+    doomed = data.draw(
+        st.lists(st.sampled_from(live), unique=True, max_size=len(live) - 1)
+    )
+    for pid in doomed:
+        log.remove_implementation(pid)
+    model = log.freeze()
+    assert_id_identical(
+        AssociationGoalModel.from_library(model.to_library()), model
+    )
+    assert_id_identical(
+        AssociationGoalModel.from_library(log.to_library()), model
+    )

@@ -1,10 +1,10 @@
-"""Stateful property tests: incremental and served models vs a rebuild oracle.
+"""Stateful property tests: the mutation log and served models vs a rebuild oracle.
 
 Hypothesis drives random sequences of add/remove operations against an
 :class:`IncrementalGoalModel` while a shadow list of live ``(goal, actions)``
 pairs defines the ground truth.  After every step, a freshly built
 :class:`AssociationGoalModel` over the shadow state must agree with the
-incremental model on all space queries and on every strategy's ranking.
+log's ``freeze()`` on all space queries and on every strategy's ranking.
 
 A second machine mutates a live :class:`~repro.service.RecommenderService`
 through its ``ModelManager`` and checks the served ``/spaces``,
@@ -85,10 +85,11 @@ class IncrementalModelMachine(RuleBasedStateMachine):
     def spaces_match_oracle(self, activity: frozenset[str]) -> None:
         oracle = self._oracle()
         assert oracle is not None
-        assert self.model.goal_space_labels(activity) == (
+        frozen = self.model.freeze()
+        assert frozen.goal_space_labels(activity) == (
             oracle.goal_space_labels(activity)
         )
-        assert self.model.action_space_labels(activity) == (
+        assert frozen.action_space_labels(activity) == (
             oracle.action_space_labels(activity)
         )
 
@@ -97,27 +98,22 @@ class IncrementalModelMachine(RuleBasedStateMachine):
         ["focus_cmp", "focus_cl", "breadth", "best_match"]
     ))
     def rankings_match_oracle(self, activity: frozenset[str], name: str) -> None:
-        """Full rankings agree up to id-based tie ordering.
+        """Full rankings agree exactly, tie order included.
 
-        Action ids differ between the two models (the incremental one keeps
-        ids of removed history), so within equal scores the order may
-        legitimately differ; canonicalizing by (-score, label) removes that
-        degree of freedom while still checking every (action, score) pair.
+        Both models index the live pairs in ascending id order, so they
+        assign the same ids and break ties identically.
         """
         oracle = self._oracle()
         assert oracle is not None
         strategy = create_strategy(name)
 
-        def canonical(model) -> list[tuple[str, float]]:
+        def ranking(model: AssociationGoalModel) -> list[tuple[str, float]]:
             result = strategy.recommend(
                 model, model.encode_activity(activity), k=1000
             )
-            return sorted(
-                ((str(item.action), round(item.score, 9)) for item in result),
-                key=lambda pair: (-pair[1], pair[0]),
-            )
+            return [(str(item.action), item.score) for item in result]
 
-        assert canonical(self.model) == canonical(oracle)
+        assert ranking(self.model.freeze()) == ranking(oracle)
 
 
 IncrementalModelMachine.TestCase.settings = settings(

@@ -202,6 +202,33 @@ class TestBitParity:
             assert pool.stop() == 0
 
 
+def _metric(text: str, name: str) -> float | None:
+    match = re.search(
+        rf"^{name}(?:{{[^}}]*}})? (\S+)$", text, flags=re.MULTILINE
+    )
+    return None if match is None else float(match.group(1))
+
+
+class TestGenerationZero:
+    def test_workers_index_nothing_before_the_first_read(self, library_path):
+        """Every worker serves the parent's model through the arena engine:
+        no worker records a ``from_library`` build for generation 0."""
+        pool = ServerProcess(library_path, 2)
+        try:
+            builds: dict[float, float] = {}
+            deadline = time.monotonic() + 15
+            while len(builds) < 2 and time.monotonic() < deadline:
+                status, body = pool.request("/metrics")
+                assert status == 200
+                text = body.decode()
+                index = _metric(text, "repro_worker_index")
+                assert index is not None
+                builds[index] = _metric(text, "repro_model_build_seconds_count") or 0
+            assert builds and set(builds.values()) == {0}, builds
+        finally:
+            assert pool.stop() == 0
+
+
 class TestHotReloadUnderLoad:
     def test_mutations_converge_across_workers_under_traffic(
         self, library_path, action_labels

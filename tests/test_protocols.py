@@ -1,8 +1,8 @@
 """The structural contracts of repro.core.protocols, checked at runtime.
 
 ``mypy --strict`` verifies signatures in CI; these tests pin member
-*presence* for all three model implementations and every registered
-strategy, so a surface regression fails even in environments without mypy.
+*presence* for both model implementations and every registered strategy,
+so a surface regression fails even in environments without mypy.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ def test_frozen_model_satisfies_model_view():
     assert isinstance(model, ModelView)
 
 
-def test_incremental_model_satisfies_model_view():
-    model = IncrementalGoalModel()
-    model.add_implementation("goal", ["a", "b"])
-    assert isinstance(model, ModelView)
-
-
 def test_cached_view_satisfies_model_view():
     view = CachedModelView(AssociationGoalModel.from_pairs(PAIRS))
     assert isinstance(view, ModelView)
@@ -60,16 +54,14 @@ def test_every_registered_strategy_satisfies_strategy(name):
 
 def test_strategies_interchangeable_across_implementations():
     frozen = AssociationGoalModel.from_pairs(PAIRS)
-    incremental = IncrementalGoalModel()
+    log = IncrementalGoalModel()
     for goal, actions in PAIRS:
-        incremental.add_implementation(goal, sorted(actions))
+        log.add_implementation(goal, sorted(actions))
     view = CachedModelView(frozen)
     activity = frozenset({"potatoes", "carrots"})
     strategy = create_strategy("breadth")
-    results = {
-        source.__class__.__name__: strategy.recommend(
-            source, source.encode_activity(activity), 5
-        ).actions()
-        for source in (frozen, incremental, view)
-    }
-    assert len(set(map(tuple, results.values()))) == 1, results
+    results = [
+        strategy.recommend(source, source.encode_activity(activity), 5).actions()
+        for source in (frozen, log.freeze(), view)
+    ]
+    assert len(set(map(tuple, results))) == 1, results

@@ -236,6 +236,33 @@ class TestHotReload:
         assert status == 405
 
 
+class TestHealthCounts:
+    def test_health_counts_the_served_model_after_an_orphaning_delete(
+        self, service
+    ):
+        """Labels whose last implementation was removed are not counted."""
+        status, body = call(
+            service, "/model/implementations",
+            {"implementations": [{"goal": "temp", "actions": ["x", "y"]}]},
+            method="PUT",
+        )
+        assert status == 200
+        (pid,) = body["added"]
+        status, _ = call(
+            service, f"/model/implementations/{pid}", method="DELETE"
+        )
+        assert status == 200
+        status, health = call(service, "/health")
+        assert status == 200
+        served = service.model
+        assert (health["goals"], health["actions"]) == (
+            served.num_goals, served.num_actions,
+        ) == (3, 6)
+        assert health["implementations"] == served.num_implementations == 3
+        assert health["library"]["num_goals"] == 3
+        assert health["library"]["num_actions"] == 6
+
+
 class TestEmptyModelLifecycle:
     def test_remove_all_then_add_again(self, service):
         for pid in range(3):
@@ -246,8 +273,9 @@ class TestEmptyModelLifecycle:
         status, health = call(service, "/health")
         assert status == 200
         assert health["implementations"] == 0
-        assert health["library"]["connectivity"] == 0.0
-        assert health["library"]["avg_implementations_per_goal"] == 0.0
+        assert health["goals"] == 0
+        assert health["actions"] == 0
+        assert set(health["library"].values()) == {0}
         # Read endpoints degrade to empty results, not 500s.
         status, body = call(
             service, "/recommend", {"activity": ["potatoes"], "k": 5}
