@@ -1,0 +1,110 @@
+"""Engine build: ``BatchRecommender(model)`` on a FoodMart-shaped model.
+
+The serving layer builds one CSR engine per model generation — at start-up
+and again on every PUT or DELETE, under the swap's write lock — so its
+construction time is set-up and mutation latency.  The build is NumPy
+array work end to end: ``M`` comes straight from the id-sorted
+implementation rows, and the co-occurrence index ``S = MᵀM`` is ordered
+by one argsort over packed int64 keys (``_frequency_order``) instead of a
+three-key ``np.lexsort``.
+
+The bench times the whole build (median of ``REPEATS``) and the ordering
+step alone against the lexsort it replaces, and asserts that every row of
+the engine's co-occurrence index follows the lexsort reference order
+``(-count, action_id)``.  The model keeps the paper's FoodMart recipe
+lengths (mean 33 actions) over a smaller catalog so generation stays a few
+seconds.  Run with ``PYTHONPATH=src python -m pytest
+benchmarks/bench_engine_build.py -q``; the table lands in
+``benchmarks/results/engine_build.txt``.
+"""
+
+from __future__ import annotations
+
+import statistics
+import time
+
+import numpy as np
+import pytest
+
+from conftest import publish
+
+from repro.core import AssociationGoalModel
+from repro.core.vectorized import BatchRecommender, _frequency_order
+from repro.data import FoodMartConfig, generate_foodmart
+from repro.eval import format_table
+
+REPEATS = 5
+
+CONFIG = FoodMartConfig(
+    num_products=800,
+    num_categories=64,
+    num_recipes=4000,
+    num_carts=1,
+    recipe_length_mean=33.0,
+    recipe_length_min=5,
+    recipe_length_max=60,
+)
+SEED = 1
+
+
+def _median_ms(fn) -> tuple[float, object]:
+    """Median wall time of ``REPEATS`` calls, and the last call's result."""
+    times = []
+    result = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times), result
+
+
+@pytest.fixture(scope="module")
+def model() -> AssociationGoalModel:
+    return AssociationGoalModel.from_library(
+        generate_foodmart(CONFIG, seed=SEED).library
+    )
+
+
+def test_engine_build(model):
+    build_ms, engine = _median_ms(lambda: BatchRecommender(model))
+
+    # The lexsort reference over the same S entries.
+    s = (engine._mt @ engine._m).tocsr()
+    n_actions = model.num_actions
+    rows = np.repeat(np.arange(n_actions), np.diff(s.indptr))
+    lexsort_ms, reference = _median_ms(
+        lambda: np.lexsort((s.indices, -s.data, rows))
+    )
+    packed_ms, order = _median_ms(
+        lambda: _frequency_order(rows, s.data, s.indices, n_actions)
+    )
+    np.testing.assert_array_equal(order, reference)
+    boundaries = s.indptr[1:-1]
+    expected_cols = np.split(s.indices[reference], boundaries)
+    expected_vals = np.split(s.data[reference], boundaries)
+    col_rows, val_rows = engine._cooc
+    assert len(col_rows) == n_actions
+    for got_cols, got_vals, want_cols, want_vals in zip(
+        col_rows, val_rows, expected_cols, expected_vals
+    ):
+        np.testing.assert_array_equal(got_cols, want_cols)
+        np.testing.assert_array_equal(got_vals, want_vals)
+
+    table = format_table(
+        ["quantity", "value"],
+        [
+            ["implementations", model.num_implementations],
+            ["actions", n_actions],
+            ["S nonzeros", s.nnz],
+            [f"BatchRecommender(model) ms (median of {REPEATS})", f"{build_ms:.1f}"],
+            ["S row order: np.lexsort ms", f"{lexsort_ms:.1f}"],
+            ["S row order: packed-key argsort ms", f"{packed_ms:.1f}"],
+            ["S rows equal the lexsort reference", "yes"],
+        ],
+        title=(
+            "Engine build on a FoodMart-shaped model "
+            f"({CONFIG.num_products} products, {CONFIG.num_recipes} recipes, "
+            f"seed {SEED})"
+        ),
+    )
+    publish("engine_build", table)

@@ -40,6 +40,7 @@ single ``sqrt`` in the cosine distance matches the reference formula.
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -91,6 +92,32 @@ def _gather_positions(
     return positions, lengths
 
 
+def _frequency_order(
+    rows: np.ndarray, counts: np.ndarray, cols: np.ndarray, n_actions: int
+) -> np.ndarray:
+    """The permutation sorting entries by ``(row, -count, col)``.
+
+    ``rows`` and ``cols`` are action ids below ``n_actions`` and ``counts``
+    positive integers (as float64); ``(row, col)`` pairs are unique.  One
+    argsort over the packed key ``(row * span + span - 1 - count) *
+    n_actions + col``, with ``span = max count + 1``, orders exactly like
+    the three-key ``np.lexsort`` — every key is unique, so the sort's
+    stability does not matter — at a fraction of its cost.  The key fits
+    int64 while ``n_actions² · span < 2⁶³``; beyond that the lexsort runs.
+    """
+    if counts.size == 0:
+        return np.empty(0, dtype=np.intp)
+    span = int(counts.max()) + 1
+    if n_actions * n_actions * span >= 2**63:
+        return np.lexsort((cols, -counts, rows))
+    key = rows.astype(np.int64) * span
+    key += span - 1
+    key -= counts.astype(np.int64)
+    key *= n_actions
+    key += cols
+    return np.argsort(key)
+
+
 class BatchRecommender:
     """Vectorized scorer over a frozen goal model.
 
@@ -108,60 +135,56 @@ class BatchRecommender:
 
     def __init__(self, model: AssociationGoalModel) -> None:
         self.model = model
-        rows: list[int] = []
-        cols: list[int] = []
-        for pid in range(model.num_implementations):
-            for aid in model.implementation_actions(pid):
-                rows.append(pid)
-                cols.append(aid)
-        data = np.ones(len(rows), dtype=np.float64)
+        n_impl = model.num_implementations
+        # The per-implementation action lists pre-sorted by id: the Focus
+        # walk reads them directly, and flattened they *are* ``M``'s
+        # canonical CSR structure, so no COO conversion runs.
+        self._impl_sorted: list[list[int]] = [
+            sorted(model.implementation_actions(pid)) for pid in range(n_impl)
+        ]
+        # int64 CSR structure for gather arithmetic (scipy stores int32,
+        # which _gather_positions' cumulative offsets would overflow on
+        # very large models).
+        self._m_indptr = np.zeros(n_impl + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, self._impl_sorted), dtype=np.int64, count=n_impl),
+            out=self._m_indptr[1:],
+        )
+        self._m_indices = np.fromiter(
+            chain.from_iterable(self._impl_sorted),
+            dtype=np.int64,
+            count=int(self._m_indptr[-1]),
+        )
         self._m = sparse.csr_matrix(
-            (data, (rows, cols)),
-            shape=(model.num_implementations, model.num_actions),
+            (np.ones(self._m_indices.size), self._m_indices, self._m_indptr),
+            shape=(n_impl, model.num_actions),
         )
         self._mt = self._m.T.tocsr()
-        goal_rows = np.arange(model.num_implementations)
         goal_cols = np.fromiter(
-            (
-                model.implementation_goal(pid)
-                for pid in range(model.num_implementations)
-            ),
+            (model.implementation_goal(pid) for pid in range(n_impl)),
             dtype=np.int64,
-            count=model.num_implementations,
+            count=n_impl,
         )
         self._g = sparse.csr_matrix(
-            (
-                np.ones(model.num_implementations),
-                (goal_rows, goal_cols),
-            ),
-            shape=(model.num_implementations, model.num_goals),
+            (np.ones(n_impl), goal_cols, np.arange(n_impl + 1)),
+            shape=(n_impl, model.num_goals),
         )
         # C[a, g]: number of implementations of goal g containing action a
         # (Equation 8's counts for every action at once).
         self._c = (self._mt @ self._g).tocsr()
         self._impl_lengths = np.asarray(self._m.sum(axis=1)).ravel()
-        # int64 copies of the CSR structure for gather arithmetic (scipy
-        # defaults to int32, which _gather_positions' cumulative offsets
-        # would overflow on very large models).
-        self._m_indptr = self._m.indptr.astype(np.int64)
-        self._m_indices = self._m.indices.astype(np.int64)
         self._post_indptr = self._mt.indptr.astype(np.int64)
         self._post_indices = self._mt.indices.astype(np.int64)
         self._c_indptr = self._c.indptr.astype(np.int64)
         self._c_indices = self._c.indices.astype(np.int64)
         self._goal_of_impl = goal_cols
-        # Per-action posting-list views (rows of the A-GI index) and the
-        # per-implementation action lists pre-sorted by id: the
-        # single-request rankers concatenate/walk these directly, which
+        # Per-action posting-list views (rows of the A-GI index): the
+        # single-request rankers concatenate these directly, which
         # replaces the index arithmetic of ``_gather_positions`` with one
         # ``np.concatenate`` of a handful of views per request.
         self._post_rows: list[np.ndarray] = np.split(
             self._post_indices, self._post_indptr[1:-1]
         )
-        self._impl_sorted: list[list[int]] = [
-            sorted(model.implementation_actions(pid))
-            for pid in range(model.num_implementations)
-        ]
         self._labels = model.action_labels()
         self._cooc = self._build_cooccurrence()
 
@@ -182,15 +205,6 @@ class BatchRecommender:
         col_rows, val_rows = self._cooc
         cooc_indptr = np.zeros(len(col_rows) + 1, dtype=np.int64)
         np.cumsum([row.size for row in col_rows], out=cooc_indptr[1:])
-        impl_sorted_indptr = np.zeros(len(self._impl_sorted) + 1, dtype=np.int64)
-        np.cumsum(
-            [len(row) for row in self._impl_sorted], out=impl_sorted_indptr[1:]
-        )
-        impl_sorted_flat = np.fromiter(
-            (aid for row in self._impl_sorted for aid in row),
-            dtype=np.int64,
-            count=int(impl_sorted_indptr[-1]),
-        )
         return {
             "m_data": self._m.data,
             "m_indices": self._m.indices,
@@ -212,8 +226,6 @@ class BatchRecommender:
             "c_indptr64": self._c_indptr,
             "c_indices64": self._c_indices,
             "goal_of_impl": self._goal_of_impl,
-            "impl_sorted_flat": impl_sorted_flat,
-            "impl_sorted_indptr": impl_sorted_indptr,
             "cooc_cols": np.concatenate(col_rows) if col_rows else np.empty(0, dtype=np.int64),
             "cooc_vals": np.concatenate(val_rows) if val_rows else np.empty(0),
             "cooc_indptr": cooc_indptr,
@@ -267,11 +279,11 @@ class BatchRecommender:
         self._c_indices = arrays["c_indices64"]
         self._goal_of_impl = arrays["goal_of_impl"]
         self._post_rows = np.split(self._post_indices, self._post_indptr[1:-1])
+        # ``M``'s rows are the id-sorted action lists (see ``__init__``).
+        flat = self._m_indices.tolist()
+        bounds = self._m_indptr.tolist()
         self._impl_sorted = [
-            row.tolist()
-            for row in np.split(
-                arrays["impl_sorted_flat"], arrays["impl_sorted_indptr"][1:-1]
-            )
+            flat[start:end] for start, end in zip(bounds, bounds[1:])
         ]
         self._labels = model.action_labels()
         boundaries = arrays["cooc_indptr"][1:-1]
@@ -327,13 +339,14 @@ class BatchRecommender:
         the approximate tier's budgeted traversal.  The index is kept as
         per-row ``(columns, counts)`` views so a request is one
         ``np.concatenate`` of ``|H|`` views.  Building S costs one spmm
-        plus a sort: tens of milliseconds at sparse paper scale, under a
-        second at dense FoodMart scale.
+        plus one argsort over packed int64 keys (:func:`_frequency_order`):
+        about 0.2 s at dense FoodMart scale (1.5M nonzeros), half of it
+        the spmm.
         """
         s = (self._mt @ self._m).tocsr()
         indptr = s.indptr.astype(np.int64)
         row_of = np.repeat(np.arange(self.model.num_actions), np.diff(indptr))
-        order = np.lexsort((s.indices, -s.data, row_of))
+        order = _frequency_order(row_of, s.data, s.indices, self.model.num_actions)
         boundaries = indptr[1:-1]
         return (
             np.split(s.indices.astype(np.int64)[order], boundaries),

@@ -1,7 +1,9 @@
 """Equivalence tests: the vectorized engine must match the reference
 strategies bit for bit (same actions, same order, same scores)."""
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core import AssociationGoalModel, GoalRecommender
 from repro.core.vectorized import BatchRecommender
@@ -189,3 +191,78 @@ class TestEagerBuild:
         after = vars(engine)
         assert after.keys() == before.keys()
         assert all(after[name] is before[name] for name in before)
+
+
+#: Every ``export_arrays()`` key with its dtype on a model whose ids fit
+#: int32 (scipy's index dtype; the ``*64`` copies feed gather arithmetic).
+EXPORTED_DTYPES = {
+    "m_data": "float64",
+    "m_indices": "int32",
+    "m_indptr": "int32",
+    "mt_data": "float64",
+    "mt_indices": "int32",
+    "mt_indptr": "int32",
+    "g_data": "float64",
+    "g_indices": "int32",
+    "g_indptr": "int32",
+    "c_data": "float64",
+    "c_indices": "int32",
+    "c_indptr": "int32",
+    "impl_lengths": "float64",
+    "m_indptr64": "int64",
+    "m_indices64": "int64",
+    "post_indptr64": "int64",
+    "post_indices64": "int64",
+    "c_indptr64": "int64",
+    "c_indices64": "int64",
+    "goal_of_impl": "int64",
+    "cooc_cols": "int64",
+    "cooc_vals": "float64",
+    "cooc_indptr": "int64",
+}
+
+
+class TestCsrShape:
+    """``M`` is built straight from the id-sorted action lists; it must be
+    the matrix a COO conversion of the implementation entries gives."""
+
+    @staticmethod
+    def _coo_reference(model):
+        rows, cols = [], []
+        for pid in range(model.num_implementations):
+            for aid in model.implementation_actions(pid):
+                rows.append(pid)
+                cols.append(aid)
+        return sparse.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)),
+            shape=(model.num_implementations, model.num_actions),
+        )
+
+    def test_m_is_canonical_with_the_coo_index_dtype(self, scenarios, figure1_model):
+        models = [model for model, *_ in scenarios] + [figure1_model]
+        for model in models:
+            m = BatchRecommender(model)._m
+            reference = self._coo_reference(model)
+            assert m.has_canonical_format, "sorted, no duplicates"
+            assert m.shape == reference.shape
+            for name in ("data", "indices", "indptr"):
+                ours, theirs = getattr(m, name), getattr(reference, name)
+                assert ours.dtype == theirs.dtype, name
+                np.testing.assert_array_equal(ours, theirs)
+
+    def test_impl_sorted_rows_are_the_m_rows(self, scenarios):
+        for model, _, engine, _ in scenarios:
+            rebuilt = BatchRecommender.from_arrays(model, engine.export_arrays())
+            expected = [
+                sorted(model.implementation_actions(pid))
+                for pid in range(model.num_implementations)
+            ]
+            assert engine._impl_sorted == expected
+            assert rebuilt._impl_sorted == expected
+
+    def test_export_keys_and_dtypes(self, scenarios):
+        for _, _, engine, _ in scenarios:
+            exported = engine.export_arrays()
+            assert {
+                key: array.dtype.name for key, array in exported.items()
+            } == EXPORTED_DTYPES

@@ -10,6 +10,8 @@ and the ensemble's paper-strategy members from that engine, so both are
 checked against the bare model too.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from repro.core import AssociationGoalModel, CachedModelView, GoalRecommender
 from repro.core.recommender import PAPER_STRATEGIES
 from repro.core.strategies import create_strategy
 from repro.core.strategies.ensemble import EnsembleStrategy
-from repro.core.vectorized import BatchRecommender
+from repro.core.vectorized import BatchRecommender, _frequency_order
 
 action_labels = st.integers(min_value=0, max_value=20).map(lambda i: f"a{i}")
 goal_labels = st.integers(min_value=0, max_value=6).map(lambda g: f"g{g}")
@@ -219,3 +221,82 @@ def test_space_sizes_of_empty_and_orphan_activities(pairs, orphans):
     # Orphans beside a real action add nothing to any space.
     mixed = orphan_ids | {0}
     assert engine.space_sizes(mixed) == _scalar_sizes(model, mixed)
+
+
+def _reference_cooccurrence_rows(model):
+    """``S = MᵀM`` from the model's posting sets, every row ordered by
+    ``np.lexsort((cols, -counts, rows))`` — the ``(-count, action_id)``
+    contract of the frequency-ordered index."""
+    rows, cols, counts = [], [], []
+    for b in range(model.num_actions):
+        for c in range(model.num_actions):
+            both = model.implementations_of_action(b) & (
+                model.implementations_of_action(c)
+            )
+            if both:
+                rows.append(b)
+                cols.append(c)
+                counts.append(float(len(both)))
+    rows, cols, counts = np.array(rows), np.array(cols), np.array(counts)
+    order = np.lexsort((cols, -counts, rows))
+    rows, cols, counts = rows[order], cols[order], counts[order]
+    return [
+        (cols[rows == b].tolist(), counts[rows == b].tolist())
+        for b in range(model.num_actions)
+    ]
+
+
+@given(any_libraries, st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_cooccurrence_rows_follow_the_lexsort_order(pairs, orphans):
+    model = _with_orphan_actions(AssociationGoalModel.from_pairs(pairs), orphans)
+    engine = BatchRecommender(model)
+    shared = BatchRecommender.from_arrays(model, engine.export_arrays())
+    expected = _reference_cooccurrence_rows(model)
+    for candidate in (engine, shared):
+        col_rows, val_rows = candidate._cooc
+        assert [
+            (cols.tolist(), vals.tolist())
+            for cols, vals in zip(col_rows, val_rows)
+        ] == expected
+
+
+def _entries_near_the_top(n_actions, max_count):
+    """Unique ``(row, col)`` pairs among the highest ids, with ``counts``
+    reaching ``max_count`` — the entries whose packed keys are largest."""
+    rng = np.random.default_rng(max_count)
+    top = n_actions - 1 - np.arange(12)
+    rows = np.repeat(top, top.size)
+    cols = np.tile(top, top.size)
+    counts = rng.integers(1, max_count + 1, size=rows.size).astype(np.float64)
+    counts[rng.integers(rows.size)] = max_count
+    return rows, counts, cols
+
+
+@pytest.mark.parametrize(
+    ("max_count", "packed"),
+    # n_actions = 2³⁰, so n_actions² · span reaches 2⁶³ at span = 8.
+    [(6, True), (7, False), (1000, False)],
+)
+def test_frequency_order_matches_lexsort_on_both_sides_of_the_key_bound(
+    monkeypatch, max_count, packed
+):
+    n_actions = 2**30
+    rows, counts, cols = _entries_near_the_top(n_actions, max_count)
+    expected = np.lexsort((cols, -counts, rows))
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        calls.append(keys)
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    order = _frequency_order(rows, counts, cols, n_actions)
+    np.testing.assert_array_equal(order, expected)
+    assert len(calls) == (0 if packed else 1)
+
+
+def test_frequency_order_of_no_entries():
+    empty = np.empty(0, dtype=np.int64)
+    assert _frequency_order(empty, np.empty(0), empty, 0).size == 0
