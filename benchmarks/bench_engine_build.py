@@ -25,6 +25,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import publish
 
@@ -68,8 +69,13 @@ def model() -> AssociationGoalModel:
 def test_engine_build(model):
     build_ms, engine = _median_ms(lambda: BatchRecommender(model))
 
-    # The lexsort reference over the same S entries.
-    s = (engine._mt @ engine._m).tocsr()
+    # The lexsort reference over the same S entries, from the engine's
+    # own CSR ``M``.
+    m = sparse.csr_matrix(
+        (np.ones(engine._m_indices.size), engine._m_indices, engine._m_indptr),
+        shape=(model.num_implementations, model.num_actions),
+    )
+    s = (m.T.tocsr() @ m).tocsr()
     n_actions = model.num_actions
     rows = np.repeat(np.arange(n_actions), np.diff(s.indptr))
     lexsort_ms, reference = _median_ms(

@@ -1,33 +1,37 @@
-"""Vectorized scoring over the goal model (NumPy/SciPy CSR).
+"""Vectorized scoring over the goal model (NumPy CSR arrays).
 
 The reference strategies in :mod:`repro.core.strategies` are pure-Python and
 score one activity at a time — clear, and exactly what the paper's
-pseudocode describes.  Serving 20K carts (the paper's workload) benefits
-from a bulk path, and a single ``/recommend`` at paper-scale connectivity
-benefits from not walking Python sets at all.  This module lowers the model
-into two sparse matrices
+pseudocode describes.  A single ``/recommend`` at paper-scale connectivity
+benefits from not walking Python sets at all.  This module lowers the
+model's indexes into int64 CSR arrays, each kept once:
 
 - ``M`` (implementations × actions): ``M[p, a] = 1`` iff ``a ∈ A_p``
-  (the ``GI-A-idx`` as a matrix; its transpose is the ``A-GI-idx``),
-- ``G`` (implementations × goals): ``G[p, g] = 1`` iff implementation ``p``
-  fulfills ``g`` (the ``GI-G-idx``),
+  (the ``GI-A-idx``; its rows are the id-sorted action lists).  Only the
+  structure is kept — every entry is 1;
+- ``Mᵀ`` (actions × implementations): the ``A-GI-idx`` posting lists;
+- ``G`` (implementations × goals): one goal per implementation (the
+  ``GI-G-idx``), kept as the ``goal_of_impl`` vector;
+- ``C = Mᵀ G`` (actions × goals): ``C[a, g]`` counts the implementations
+  of ``g`` containing ``a``;
+- ``S = Mᵀ M`` (actions × actions): the co-occurrence counts, each row
+  ordered by ``(-count, action_id)``.
 
-after which the paper's scores become sparse linear algebra.  With ``h``
-the 0/1 activity vector of a user:
+SciPy's sparse products compute ``C`` and ``S`` at construction; the engine
+keeps no matrix object.  With ``H`` a user's activity:
 
-- per-implementation overlaps: ``o = M h``  (``|A_p ∩ H|`` for every p);
-- **Breadth** (Eq. 5-6, intersection reading): ``s = Mᵀ o`` — every
-  candidate accumulates the overlap of every implementation containing it.
-  Expanding, ``s = (Mᵀ M) h``: the *action co-occurrence matrix*
-  ``S = Mᵀ M`` turns one request into a sum of ``|H|`` precomputed rows;
+- per-implementation overlaps ``o_p = |A_p ∩ H|`` count each
+  implementation's occurrences in the posting lists of ``H``;
+- **Breadth** (Eq. 5-6, intersection reading): ``s = Mᵀ o = (Mᵀ M) h``
+  with ``h`` the 0/1 activity vector — one request is a sum of ``|H|``
+  precomputed rows of ``S``;
 - **Focus completeness/closeness**: ``o / |A_p|`` and ``1 / (|A_p| − o)``
   elementwise over implementations with ``0 < o`` and ``o < |A_p|``;
 - **Best Match** profile: ``Gᵀ o`` restricted to the goal space; candidate
-  vectors are rows of the precomputed ``C = Mᵀ G`` (action × goal counts).
+  vectors are rows of ``C``.
 
-The single-request :meth:`rank` never materializes full matrix-vector
-products: it gathers only the CSR rows the activity touches (posting
-lists), so per-request cost tracks ``|IS(H)|`` — the same asymptotics as
+Every request, single or batched, gathers only the rows the activity
+touches, so per-request cost tracks ``|IS(H)|`` — the same asymptotics as
 the reference strategies, minus the Python interpreter.  Top-``k``
 selection is partial (:mod:`repro.core.topk`), not a full sort.
 
@@ -62,23 +66,18 @@ _PARTITION_CUTOVER = 4096
 
 
 def _gather_positions(
-    indptr: np.ndarray, rows: np.ndarray, cap: int | None = None
+    indptr: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the CSR entries of ``rows`` (optionally capped).
+    """Flat positions of the CSR entries of ``rows``.
 
     Returns ``(positions, lengths)`` where ``positions`` indexes the CSR
     ``indices``/``data`` arrays for every entry of every requested row,
     concatenated in row order, and ``lengths`` is the per-row entry count.
-    ``cap`` truncates each row to its first ``cap`` entries — with rows
-    pre-sorted by descending weight this is the budgeted posting-list
-    traversal of the approximate tier.  Pure index arithmetic; no Python
-    loop and no scipy fancy indexing (which would copy through an extractor
-    matrix).
+    Pure index arithmetic; no Python loop and no scipy fancy indexing
+    (which would copy through an extractor matrix).
     """
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    if cap is not None:
-        lengths = np.minimum(lengths, cap)
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), lengths
@@ -121,11 +120,11 @@ def _frequency_order(
 class BatchRecommender:
     """Vectorized scorer over a frozen goal model.
 
-    Build once per model generation; single requests are a few gathered
-    CSR rows, bulk requests a few sparse matrix products.  Construction
-    builds every derived structure, the co-occurrence index included, so
-    an engine is complete and read-only from the moment it exists and
-    concurrent readers share it without a lock.  The serving layer builds
+    Build once per model generation; a request is a few gathered CSR
+    rows, and a bulk request is one such request per activity.
+    Construction builds every derived structure, the co-occurrence index
+    included, so an engine is complete and read-only from the moment it
+    exists and concurrent readers share it without a lock.  The serving layer builds
     one instance per generation before publishing the generation's
     snapshot (``CachedModelView.csr_engine`` / ``ModelSnapshot.engine``)
     and routes the batch endpoint, single-activity ``rank()``, the
@@ -136,57 +135,50 @@ class BatchRecommender:
     def __init__(self, model: AssociationGoalModel) -> None:
         self.model = model
         n_impl = model.num_implementations
-        # The per-implementation action lists pre-sorted by id: the Focus
-        # walk reads them directly, and flattened they *are* ``M``'s
-        # canonical CSR structure, so no COO conversion runs.
-        self._impl_sorted: list[list[int]] = [
+        n_actions = model.num_actions
+        # The per-implementation action lists pre-sorted by id: flattened
+        # they *are* ``M``'s canonical CSR structure, so no COO conversion
+        # runs.  int64 throughout: the gather arithmetic's cumulative
+        # offsets would overflow scipy's int32 on very large models.
+        impl_sorted = [
             sorted(model.implementation_actions(pid)) for pid in range(n_impl)
         ]
-        # int64 CSR structure for gather arithmetic (scipy stores int32,
-        # which _gather_positions' cumulative offsets would overflow on
-        # very large models).
         self._m_indptr = np.zeros(n_impl + 1, dtype=np.int64)
         np.cumsum(
-            np.fromiter(map(len, self._impl_sorted), dtype=np.int64, count=n_impl),
+            np.fromiter(map(len, impl_sorted), dtype=np.int64, count=n_impl),
             out=self._m_indptr[1:],
         )
         self._m_indices = np.fromiter(
-            chain.from_iterable(self._impl_sorted),
+            chain.from_iterable(impl_sorted),
             dtype=np.int64,
             count=int(self._m_indptr[-1]),
         )
-        self._m = sparse.csr_matrix(
-            (np.ones(self._m_indices.size), self._m_indices, self._m_indptr),
-            shape=(n_impl, model.num_actions),
-        )
-        self._mt = self._m.T.tocsr()
-        goal_cols = np.fromiter(
+        self._goal_of_impl = np.fromiter(
             (model.implementation_goal(pid) for pid in range(n_impl)),
             dtype=np.int64,
             count=n_impl,
         )
-        self._g = sparse.csr_matrix(
-            (np.ones(n_impl), goal_cols, np.arange(n_impl + 1)),
+        # The sparse matrices only compute the derived indexes; the engine
+        # keeps none of them.
+        m = sparse.csr_matrix(
+            (np.ones(self._m_indices.size), self._m_indices, self._m_indptr),
+            shape=(n_impl, n_actions),
+        )
+        mt = m.T.tocsr()
+        g = sparse.csr_matrix(
+            (np.ones(n_impl), self._goal_of_impl, np.arange(n_impl + 1)),
             shape=(n_impl, model.num_goals),
         )
         # C[a, g]: number of implementations of goal g containing action a
         # (Equation 8's counts for every action at once).
-        self._c = (self._mt @ self._g).tocsr()
-        self._impl_lengths = np.asarray(self._m.sum(axis=1)).ravel()
-        self._post_indptr = self._mt.indptr.astype(np.int64)
-        self._post_indices = self._mt.indices.astype(np.int64)
-        self._c_indptr = self._c.indptr.astype(np.int64)
-        self._c_indices = self._c.indices.astype(np.int64)
-        self._goal_of_impl = goal_cols
-        # Per-action posting-list views (rows of the A-GI index): the
-        # single-request rankers concatenate these directly, which
-        # replaces the index arithmetic of ``_gather_positions`` with one
-        # ``np.concatenate`` of a handful of views per request.
-        self._post_rows: list[np.ndarray] = np.split(
-            self._post_indices, self._post_indptr[1:-1]
-        )
-        self._labels = model.action_labels()
-        self._cooc = self._build_cooccurrence()
+        c = (mt @ g).tocsr()
+        self._post_indptr = mt.indptr.astype(np.int64)
+        self._post_indices = mt.indices.astype(np.int64)
+        self._c_data = c.data
+        self._c_indptr = c.indptr.astype(np.int64)
+        self._c_indices = c.indices.astype(np.int64)
+        self._cooc = self._build_cooccurrence(m, mt)
+        self._derive_views()
 
     # ------------------------------------------------------------------
     # Array export / zero-copy reconstruction (multi-worker serving)
@@ -206,23 +198,11 @@ class BatchRecommender:
         cooc_indptr = np.zeros(len(col_rows) + 1, dtype=np.int64)
         np.cumsum([row.size for row in col_rows], out=cooc_indptr[1:])
         return {
-            "m_data": self._m.data,
-            "m_indices": self._m.indices,
-            "m_indptr": self._m.indptr,
-            "mt_data": self._mt.data,
-            "mt_indices": self._mt.indices,
-            "mt_indptr": self._mt.indptr,
-            "g_data": self._g.data,
-            "g_indices": self._g.indices,
-            "g_indptr": self._g.indptr,
-            "c_data": self._c.data,
-            "c_indices": self._c.indices,
-            "c_indptr": self._c.indptr,
-            "impl_lengths": self._impl_lengths,
             "m_indptr64": self._m_indptr,
             "m_indices64": self._m_indices,
             "post_indptr64": self._post_indptr,
             "post_indices64": self._post_indices,
+            "c_data": self._c_data,
             "c_indptr64": self._c_indptr,
             "c_indices64": self._c_indices,
             "goal_of_impl": self._goal_of_impl,
@@ -237,61 +217,45 @@ class BatchRecommender:
     ) -> "BatchRecommender":
         """Rebuild an engine from an :meth:`export_arrays` snapshot.
 
-        ``arrays`` values may be views over shared memory; every CSR
-        matrix is wrapped with ``copy=False`` so the rebuilt engine reads
-        the exporter's pages directly.  Results are bit-identical to an
-        engine built from ``model`` (asserted in the test suite) because
-        *every* derived structure — including the frequency-ordered
-        co-occurrence index with its tie-breaking order — is taken from
-        the snapshot, never recomputed.
+        ``arrays`` values may be views over shared memory; the engine keeps
+        them as given, so the rebuilt engine reads the exporter's pages
+        directly.  Results are bit-identical to an engine built from
+        ``model`` (asserted in the test suite) because every index —
+        including the frequency-ordered co-occurrence index with its
+        tie-breaking order — is taken from the snapshot, never recomputed;
+        only the small per-request views of :meth:`_derive_views` are.
         """
         self = cls.__new__(cls)
         self.model = model
-        n_impl = model.num_implementations
-        n_actions = model.num_actions
-        n_goals = model.num_goals
-        self._m = sparse.csr_matrix(
-            (arrays["m_data"], arrays["m_indices"], arrays["m_indptr"]),
-            shape=(n_impl, n_actions),
-            copy=False,
-        )
-        self._mt = sparse.csr_matrix(
-            (arrays["mt_data"], arrays["mt_indices"], arrays["mt_indptr"]),
-            shape=(n_actions, n_impl),
-            copy=False,
-        )
-        self._g = sparse.csr_matrix(
-            (arrays["g_data"], arrays["g_indices"], arrays["g_indptr"]),
-            shape=(n_impl, n_goals),
-            copy=False,
-        )
-        self._c = sparse.csr_matrix(
-            (arrays["c_data"], arrays["c_indices"], arrays["c_indptr"]),
-            shape=(n_actions, n_goals),
-            copy=False,
-        )
-        self._impl_lengths = arrays["impl_lengths"]
         self._m_indptr = arrays["m_indptr64"]
         self._m_indices = arrays["m_indices64"]
         self._post_indptr = arrays["post_indptr64"]
         self._post_indices = arrays["post_indices64"]
+        self._c_data = arrays["c_data"]
         self._c_indptr = arrays["c_indptr64"]
         self._c_indices = arrays["c_indices64"]
         self._goal_of_impl = arrays["goal_of_impl"]
-        self._post_rows = np.split(self._post_indices, self._post_indptr[1:-1])
-        # ``M``'s rows are the id-sorted action lists (see ``__init__``).
-        flat = self._m_indices.tolist()
-        bounds = self._m_indptr.tolist()
-        self._impl_sorted = [
-            flat[start:end] for start, end in zip(bounds, bounds[1:])
-        ]
-        self._labels = model.action_labels()
         boundaries = arrays["cooc_indptr"][1:-1]
         self._cooc = (
             np.split(arrays["cooc_cols"], boundaries),
             np.split(arrays["cooc_vals"], boundaries),
         )
+        self._derive_views()
         return self
+
+    def _derive_views(self) -> None:
+        """The per-request views both constructors derive from the arrays.
+
+        Implementation lengths feed the Focus scores; the per-action
+        posting-list views (rows of the ``A-GI`` index) let a request
+        concatenate a handful of views instead of running the index
+        arithmetic of ``_gather_positions``; the label table decodes ids.
+        """
+        self._impl_lengths = np.diff(self._m_indptr).astype(np.float64)
+        self._post_rows: list[np.ndarray] = np.split(
+            self._post_indices, self._post_indptr[1:-1]
+        )
+        self._labels = self.model.action_labels()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -299,16 +263,6 @@ class BatchRecommender:
 
     def _activity_array(self, activity: frozenset[int]) -> np.ndarray:
         return np.fromiter(activity, dtype=np.int64, count=len(activity))
-
-    def _activity_vector(self, activity: frozenset[int]) -> np.ndarray:
-        h = np.zeros(self.model.num_actions)
-        for aid in activity:
-            h[aid] = 1.0
-        return h
-
-    def _overlaps(self, h: np.ndarray) -> np.ndarray:
-        """``|A_p ∩ H|`` for every implementation."""
-        return self._m @ h
 
     def _overlap_counts(
         self, activity: frozenset[int]
@@ -329,7 +283,9 @@ class BatchRecommender:
         pids, counts = np.unique(touched, return_counts=True)
         return act, pids, counts.astype(np.float64)
 
-    def _build_cooccurrence(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def _build_cooccurrence(
+        self, m: sparse.csr_matrix, mt: sparse.csr_matrix
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The frequency-ordered co-occurrence index.
 
         ``S = MᵀM`` with every row sorted by ``(-count, action_id)``:
@@ -343,7 +299,7 @@ class BatchRecommender:
         about 0.2 s at dense FoodMart scale (1.5M nonzeros), half of it
         the spmm.
         """
-        s = (self._mt @ self._m).tocsr()
+        s = (mt @ m).tocsr()
         indptr = s.indptr.astype(np.int64)
         row_of = np.repeat(np.arange(self.model.num_actions), np.diff(indptr))
         order = _frequency_order(row_of, s.data, s.indices, self.model.num_actions)
@@ -371,30 +327,9 @@ class BatchRecommender:
             ranked = np.argsort(-scores, kind="stable")[:k]
         return list(zip(ids[ranked].tolist(), scores[ranked].tolist()))
 
-    @staticmethod
-    def _top_k(scores: np.ndarray, mask: np.ndarray, k: int) -> list[tuple[int, float]]:
-        """Top-``k`` (id, score) with the library's tie-break (id asc)."""
-        candidates = np.flatnonzero(mask)
-        if candidates.size == 0:
-            return []
-        return BatchRecommender._ranked_pairs(
-            candidates, scores[candidates], k
-        )
-
-    def _candidate_mask(self, h: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-        """Boolean mask of ``AS(H) − H`` derived from the overlaps."""
-        touched = overlaps > 0
-        reach = self._mt @ touched.astype(np.float64)
-        return (reach > 0) & (h == 0)
-
     # ------------------------------------------------------------------
     # Strategy scorers (id level)
     # ------------------------------------------------------------------
-
-    def breadth_scores(self, activity: frozenset[int]) -> np.ndarray:
-        """Breadth intersection scores for every action (0 for non-candidates)."""
-        h = self._activity_vector(activity)
-        return self._mt @ self._overlaps(h)
 
     def _breadth_rank(
         self, activity: frozenset[int], k: int, budget: int | None = None
@@ -497,11 +432,11 @@ class BatchRecommender:
         # ``pids`` is ascending, so a stable sort on the negated scores
         # equals the reference's ``(-score, pid)`` lexsort.
         order = np.argsort(-scores, kind="stable")
-        # The walk usually consumes a couple dozen implementations before
+        # The walk usually consumes a handful of implementations before
         # filling ``k``, so it materializes the ranked prefix chunk by
-        # chunk — pure-Python iteration over small lists beats per-element
-        # NumPy scalar access on the actual consumption pattern.
-        impl_sorted = self._impl_sorted
+        # chunk, and each visited implementation's actions (its id-sorted
+        # row of ``M``) as one small list.
+        indptr, indices = self._m_indptr, self._m_indices
         result: list[tuple[int, float]] = []
         seen: set[int] = set()
         chunk = max(2 * k, 16)
@@ -512,7 +447,7 @@ class BatchRecommender:
             ):
                 if score >= full:
                     continue
-                for aid in impl_sorted[pid]:
+                for aid in indices[indptr[pid]:indptr[pid + 1]].tolist():
                     if aid in activity or aid in seen:
                         continue
                     seen.add(aid)
@@ -554,7 +489,7 @@ class BatchRecommender:
         gs_indicator[touched_goals] = 1.0
         c_positions, c_lengths = _gather_positions(self._c_indptr, candidates)
         c_goals = self._c_indices[c_positions]
-        c_counts = self._c.data[c_positions]
+        c_counts = self._c_data[c_positions]
         row_ids = np.repeat(np.arange(candidates.size), c_lengths)
         dots = np.bincount(
             row_ids,
@@ -636,13 +571,6 @@ class BatchRecommender:
             as_size - in_h,
         )
 
-    def best_match_distances(self, activity: frozenset[int]) -> dict[int, float]:
-        """Cosine distances of every candidate to the goal-space profile."""
-        candidates, scores = self._best_match_scores(activity)
-        return {
-            int(aid): -float(score) for aid, score in zip(candidates, scores)
-        }
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -685,98 +613,28 @@ class BatchRecommender:
             activity=frozenset(labels[aid] for aid in encoded),
         )
 
-    def rank_many_breadth(
-        self, encoded: list[frozenset[int]], k: int
-    ) -> list[list[tuple[int, float]]]:
-        """Breadth rankings for a block of activities via one spmm pipeline.
-
-        Stacks the activities into a sparse ``H`` (activities × actions) and
-        computes every overlap, score and candidate mask with three sparse
-        matrix-matrix products instead of per-activity matvecs.  All values
-        are small integer counts (exact in float64), so the results are
-        bit-identical to :meth:`rank` row by row.
-        """
-        n = len(encoded)
-        if n == 0:
-            return []
-        rows: list[int] = []
-        cols: list[int] = []
-        for i, activity in enumerate(encoded):
-            for aid in activity:
-                rows.append(i)
-                cols.append(aid)
-        h = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(n, self.model.num_actions),
-        )
-        overlaps = h @ self._mt  # (n × implementations): |A_p ∩ H_i|
-        scores = (overlaps @ self._m).toarray()
-        touched = overlaps.copy()
-        touched.data = (touched.data > 0).astype(np.float64)
-        reach = (touched @ self._m).toarray()
-        h_dense = h.toarray()
-        mask = (reach > 0) & (h_dense == 0) & (scores > 0)
-        return [
-            self._top_k(scores[i], mask[i], k) for i in range(n)
-        ]
-
     def recommend_many(
         self,
         activities: list[frozenset[ActionLabel]],
         k: int = 10,
         strategy: str = "breadth",
-        chunk_size: int = 1024,
         checkpoint: Callable[[int], None] | None = None,
     ) -> list[RecommendationList]:
-        """Bulk entry point: one list per activity, in input order.
+        """Bulk entry point: one :meth:`recommend` per activity, in order.
 
-        ``breadth`` requests are scored in chunks of ``chunk_size``
-        activities through :meth:`rank_many_breadth` (dense intermediates
-        stay bounded at ``chunk_size × num_actions``); the other strategies
-        reuse the per-activity vectorized path, which already amortizes the
-        CSR build across the batch.
-
-        ``checkpoint``, when given, is invoked with the index of the first
-        activity of each chunk before the chunk is scored.  The serving
-        layer uses it to abandon a batch whose deadline has expired (the
-        callback raises) instead of scoring the remaining chunks; any
-        exception it raises propagates unchanged.
+        ``checkpoint``, when given, is invoked with each activity's index
+        before that activity is scored.  The serving layer uses it to
+        abandon a batch whose deadline has expired (the callback raises)
+        instead of scoring the remaining activities; any exception it
+        raises propagates unchanged.
         """
         require_request_count(k, "k")
         require_in(strategy, _STRATEGIES, "strategy")
-        require_request_count(chunk_size, "chunk_size")
-        activities = list(activities)
-        if strategy != "breadth":
-            results_scalar: list[RecommendationList] = []
-            for i, activity in enumerate(activities):
-                if checkpoint is not None and i % chunk_size == 0:
-                    checkpoint(i)
-                results_scalar.append(
-                    self.recommend(activity, k=k, strategy=strategy)
-                )
-            return results_scalar
-        encoded = [
-            self.model.encode_activity(activity) for activity in activities
-        ]
         results: list[RecommendationList] = []
-        for start in range(0, len(activities), chunk_size):
+        for i, activity in enumerate(activities):
             if checkpoint is not None:
-                checkpoint(start)
-            block = encoded[start:start + chunk_size]
-            labels = self._labels
-            for offset, ranked in enumerate(self.rank_many_breadth(block, k)):
-                results.append(
-                    RecommendationList(
-                        strategy=strategy,
-                        items=tuple(
-                            ScoredAction(labels[aid], score)
-                            for aid, score in ranked
-                        ),
-                        activity=frozenset(
-                            labels[aid] for aid in encoded[start + offset]
-                        ),
-                    )
-                )
+                checkpoint(i)
+            results.append(self.recommend(activity, k=k, strategy=strategy))
         return results
 
 

@@ -13,7 +13,7 @@ Checkpoints sit at the natural seams of the paper's pipeline:
   then ``rank``) in :class:`~repro.core.recommender.GoalRecommender`;
   ``goal_space`` and ``action_space`` stay in the label vocabulary below,
   but no recommend path checks them;
-- before every scoring chunk of the batch path
+- before every activity of the batch path
   (:meth:`~repro.core.vectorized.BatchRecommender.recommend_many`);
 - while waiting in the admission queue
   (:class:`~repro.resilience.admission.AdmissionController`).

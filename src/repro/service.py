@@ -46,7 +46,7 @@ Endpoints (JSON unless noted):
   "strategy": "breadth"}`` → ranked actions with scores (served through
   the recommendation LRU; the response carries ``"cached"``);
 - ``POST /recommend/batch`` — body ``{"activities": [[...], ...], "k": 10,
-  "strategy": "breadth"}`` → one ranked list per activity, scored in bulk
+  "strategy": "breadth"}`` → one ranked list per activity, each scored
   by the CSR :class:`~repro.core.vectorized.BatchRecommender` (built once
   per model generation, reused across requests);
 - ``POST /spaces`` — body ``{"activity": [...]}`` → the goal and action
@@ -1383,7 +1383,7 @@ class _Handler(BaseHTTPRequestHandler):
             deadline = active_deadline()
             checkpoint = None
             if deadline is not None:
-                def checkpoint(_start: int, _d: Deadline = deadline) -> None:
+                def checkpoint(_index: int, _d: Deadline = deadline) -> None:
                     _d.check("batch")
             ranked = batch.recommend_many(
                 [frozenset(activity) for activity in activities],

@@ -128,10 +128,10 @@ def check_parity(model, activities, k=10):
             assert (hit1, hit2) == (False, True)
             assert_identical(want, first, f"cache/{strategy}/{sorted(activity)}")
             assert second is first
-        # Bulk path, with a chunk size that forces several chunks.
+        # Bulk path.
         many = batch.recommend_many(
             [frozenset(activity) for activity in activities],
-            k=k, strategy=strategy, chunk_size=7,
+            k=k, strategy=strategy,
         )
         for activity, want, got in zip(activities, expected, many):
             assert_identical(
@@ -193,10 +193,10 @@ class TestActivityFieldParity:
         got = batch.recommend(activity, k=10, strategy=strategy)
         assert want.activity == known
         assert_identical(want, got, f"oov/{strategy}")
-        # The bulk path echoes per-row activities, not the last chunk's.
+        # The bulk path echoes each row's own activity.
         many = batch.recommend_many(
             [frozenset(activity), frozenset(known)],
-            k=10, strategy=strategy, chunk_size=1,
+            k=10, strategy=strategy,
         )
         assert [r.activity for r in many] == [known, known]
 

@@ -5,8 +5,8 @@ through as 1.  The HTTP layer already rejects boolean ``k``; these tests pin
 the same contract *below* it, so embedded callers (notebooks, batch jobs)
 get a :class:`~repro.exceptions.RecommendationError` instead of a silent
 top-1 ranking.  Every public ranking entry point is covered: the facade,
-the strategy base class, and both ``BatchRecommender`` entry points
-(including ``chunk_size``).
+the strategy base class, and the ``BatchRecommender`` entry points
+(including the pruned tier's ``budget``).
 
 The HTTP layer's body decoding is pinned here too: a body that is not
 valid UTF-8 is a client error (400), never a handler crash (500).
@@ -35,8 +35,8 @@ class TestRequireRequestCount:
             require_request_count(value)
 
     def test_error_names_the_parameter(self):
-        with pytest.raises(RecommendationError, match="chunk_size"):
-            require_request_count(True, "chunk_size")
+        with pytest.raises(RecommendationError, match="budget"):
+            require_request_count(True, "budget")
 
     def test_accepts_positive_int(self):
         require_request_count(1)
@@ -67,11 +67,6 @@ class TestBatchRecommender:
         batch = BatchRecommender(figure1_model)
         with pytest.raises(RecommendationError):
             batch.recommend_many([frozenset({"a1"})], k=value)
-
-    def test_recommend_many_rejects_bool_chunk_size(self, figure1_model):
-        batch = BatchRecommender(figure1_model)
-        with pytest.raises(RecommendationError, match="chunk_size"):
-            batch.recommend_many([frozenset({"a1"})], k=5, chunk_size=True)
 
     def test_pruned_budget_rejects_bool(self, figure1_model):
         batch = BatchRecommender(figure1_model)
