@@ -11,7 +11,14 @@ three-key ``np.lexsort``.
 The bench times the whole build (median of ``REPEATS``) and the ordering
 step alone against the lexsort it replaces, and asserts that every row of
 the engine's co-occurrence index follows the lexsort reference order
-``(-count, action_id)``.  The model keeps the paper's FoodMart recipe
+``(-count, action_id)``.
+
+It also times a served generation's build from the mutation log both
+ways: the old path, ``log.freeze()`` (an ``AssociationGoalModel`` with
+its dict indexes) followed by ``BatchRecommender``, and the served path,
+interning the live implementations (``intern_library``) and building the
+engine from the label tables and id-sorted rows.  Both engines'
+``export_arrays()`` must be equal in value and dtype.  The model keeps the paper's FoodMart recipe
 lengths (mean 33 actions) over a smaller catalog so generation stays a few
 seconds.  Run with ``PYTHONPATH=src python -m pytest
 benchmarks/bench_engine_build.py -q``; the table lands in
@@ -29,7 +36,8 @@ from scipy import sparse
 
 from conftest import publish
 
-from repro.core import AssociationGoalModel
+from repro.core import AssociationGoalModel, IncrementalGoalModel
+from repro.core.model import intern_library
 from repro.core.vectorized import BatchRecommender, _frequency_order
 from repro.data import FoodMartConfig, generate_foodmart
 from repro.eval import format_table
@@ -60,14 +68,30 @@ def _median_ms(fn) -> tuple[float, object]:
 
 
 @pytest.fixture(scope="module")
-def model() -> AssociationGoalModel:
-    return AssociationGoalModel.from_library(
-        generate_foodmart(CONFIG, seed=SEED).library
-    )
+def library():
+    return generate_foodmart(CONFIG, seed=SEED).library
 
 
-def test_engine_build(model):
+@pytest.fixture(scope="module")
+def model(library) -> AssociationGoalModel:
+    return AssociationGoalModel.from_library(library)
+
+
+def test_engine_build(library, model):
     build_ms, engine = _median_ms(lambda: BatchRecommender(model))
+
+    # A served generation's build from the mutation log, old and new.
+    log = IncrementalGoalModel.from_library(library)
+    freeze_ms, frozen = _median_ms(log.freeze)
+    frozen_build_ms, from_frozen = _median_ms(lambda: BatchRecommender(frozen))
+    intern_ms, interned = _median_ms(lambda: intern_library(log.implementations()))
+    interned_build_ms, from_log = _median_ms(lambda: BatchRecommender(interned))
+    old_arrays = from_frozen.export_arrays()
+    new_arrays = from_log.export_arrays()
+    assert old_arrays.keys() == new_arrays.keys()
+    for name, array in old_arrays.items():
+        assert new_arrays[name].dtype == array.dtype, name
+        np.testing.assert_array_equal(new_arrays[name], array, err_msg=name)
 
     # The lexsort reference over the same S entries, from the engine's
     # own CSR ``M``.
@@ -106,6 +130,13 @@ def test_engine_build(model):
             ["S row order: np.lexsort ms", f"{lexsort_ms:.1f}"],
             ["S row order: packed-key argsort ms", f"{packed_ms:.1f}"],
             ["S rows equal the lexsort reference", "yes"],
+            ["generation from the log: freeze() ms", f"{freeze_ms:.1f}"],
+            ["  + BatchRecommender(frozen model) ms", f"{frozen_build_ms:.1f}"],
+            ["  = old generation build ms", f"{freeze_ms + frozen_build_ms:.1f}"],
+            ["generation from the log: intern_library ms", f"{intern_ms:.1f}"],
+            ["  + BatchRecommender(interned) ms", f"{interned_build_ms:.1f}"],
+            ["  = served generation build ms", f"{intern_ms + interned_build_ms:.1f}"],
+            ["export_arrays() equal in value and dtype", "yes"],
         ],
         title=(
             "Engine build on a FoodMart-shaped model "

@@ -47,7 +47,12 @@ if TYPE_CHECKING:
 
 from repro import obs
 from repro._version import __version__
-from repro.core import AssociationGoalModel, GoalRecommender, PAPER_STRATEGIES
+from repro.core import (
+    AssociationGoalModel,
+    GoalRecommender,
+    IncrementalGoalModel,
+    PAPER_STRATEGIES,
+)
 from repro.data import (
     FoodMartConfig,
     FortyThreeConfig,
@@ -64,7 +69,7 @@ from repro.eval import (
     popularity_correlation,
     usefulness_summary,
 )
-from repro.exceptions import ReproError
+from repro.exceptions import ModelError, ReproError
 from repro.storage import JsonLibraryStore
 from repro.text import GoalStory, extract_implementations
 
@@ -554,7 +559,11 @@ def _cmd_serve(args: argparse.Namespace, block: bool = True) -> int:
     # The retrying wrapper absorbs transient load failures (a writer
     # mid-replace, an injected storage fault) with deterministic backoff.
     library = RetryingLibraryStore(JsonLibraryStore(args.library)).load()
-    model = AssociationGoalModel.from_library(library)
+    # The served generations are built from this mutation log; no
+    # AssociationGoalModel is built.
+    log = IncrementalGoalModel.from_library(library)
+    if log.num_implementations == 0:
+        raise ModelError("cannot build a model from zero implementations")
     workers = getattr(args, "workers", 1)
     if workers is not None and workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
@@ -562,9 +571,9 @@ def _cmd_serve(args: argparse.Namespace, block: bool = True) -> int:
     if workers and workers > 1:
         from repro.serving.workers import run_worker_pool
 
-        return run_worker_pool(model, args, block=block)
+        return run_worker_pool(log, args, block=block)
     service = RecommenderService(
-        model,
+        log,
         host=args.host,
         port=args.port,
         # getattr: tests drive this with hand-built Namespace objects that
@@ -596,7 +605,7 @@ def _cmd_serve(args: argparse.Namespace, block: bool = True) -> int:
     )
     service.start()
     print(
-        f"serving {model.num_implementations} implementations on "
+        f"serving {log.num_implementations} implementations on "
         f"http://{args.host}:{service.port} "
         "(endpoints: /health /metrics /model /recommend /recommend/batch "
         "/spaces /explain /goals /related /debug/vars /debug/slow "

@@ -12,9 +12,10 @@ Three pieces live here:
 - :class:`LRUCache` — a thread-safe, size-bounded LRU with hit/miss/eviction
   counters and a lookup-latency histogram registered in :mod:`repro.obs`
   (families ``repro_cache_*``, labelled by cache name);
-- :class:`CachedModelView` — a read-only proxy over an
-  :class:`~repro.core.model.AssociationGoalModel` that carries the
-  generation's CSR engine and answers ``IS``/``GS``/``AS`` from it;
+- :class:`CachedModelView` — a generation's CSR engine presented as the
+  whole :class:`~repro.core.protocols.ModelView` surface, answered from the
+  engine's arrays and label tables; :func:`build_served_view` builds one
+  from the mutation log;
 - :class:`CachingRecommender` — a :class:`~repro.core.recommender.GoalRecommender`
   wrapper that consults the recommendation LRU before ranking.
 
@@ -39,15 +40,24 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro import obs
-from repro.core.entities import ActionLabel, GoalLabel, RecommendationList
-from repro.core.model import AssociationGoalModel
+from repro.core.entities import (
+    ActionLabel,
+    GoalImplementation,
+    GoalLabel,
+    RecommendationList,
+)
+from repro.core.incremental import IncrementalGoalModel
+from repro.core.library import LibraryStats
+from repro.core.model import LabelTables, intern_library
 from repro.core.recommender import GoalRecommender
 from repro.resilience.faults import inject
 from repro.utils.concurrency import make_lock
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
-    from repro.core.vectorized import BatchRecommender
+    from repro.core.vectorized import BatchRecommender, EngineSource
 
 _SENTINEL = object()
 
@@ -63,8 +73,8 @@ _GUARDED_BY = {
     "LRUCache._misses": "_lock",
     "LRUCache._evictions": "_lock",
     "LRUCache._invalidations": "_lock",
-    "CachedModelView._model": "<final>",
     "CachedModelView._engine": "<final>",
+    "CachedModelView._labels": "<final>",
     "LRUCache._lock": "<final>",
 }
 
@@ -246,37 +256,38 @@ class LRUCache:
 
 
 class CachedModelView:
-    """A frozen model bound to its generation's CSR engine.
+    """A generation's CSR engine as the whole model query surface.
 
-    The serving snapshot's model view: it delegates the full
-    :class:`AssociationGoalModel` query surface and answers the three
-    space queries (``IS``/``GS``/``AS``) from the engine's masks
-    (:meth:`~repro.core.vectorized.BatchRecommender.spaces`), so
-    ``/spaces``, ``/explain``, ``/goals`` and the scalar-only strategies
-    read the same structure that ranks.  The answers equal the bare
-    model's scalar sets (asserted in the test suite).
+    The serving snapshot's model view: every
+    :class:`~repro.core.protocols.ModelView` method, plus :meth:`stats`
+    and :meth:`action_frequencies`, answers from the engine's arrays and
+    label tables — index lookups slice ``M``, the posting lists and
+    ``goal_of_impl``; the three space queries (``IS``/``GS``/``AS``) read
+    the engine's masks (:meth:`~repro.core.vectorized.BatchRecommender.spaces`).
+    So ``/spaces``, ``/health``, the drift baseline and the scalar-only
+    strategies read the same structure that ranks, and no dict index is
+    kept beside it.  Every answer equals the
+    :class:`~repro.core.model.AssociationGoalModel` built from the same
+    library (asserted in the test suite).
 
-    The engine is built completely in ``__init__`` unless one is passed
-    in: multi-worker serving passes an engine rebuilt zero-copy from the
+    The engine is built from ``source`` unless one is passed in: the
+    multi-worker bootstrap passes an engine rebuilt zero-copy from the
     shared-memory arena, so workers skip the sparse products.
     """
 
     def __init__(
         self,
-        model: AssociationGoalModel,
+        source: EngineSource | None = None,
         engine: BatchRecommender | None = None,
     ) -> None:
-        self._model = model
         if engine is None:
             from repro.core.vectorized import BatchRecommender
 
-            engine = BatchRecommender(model)
+            if source is None:
+                raise TypeError("CachedModelView needs a source or an engine")
+            engine = BatchRecommender(source)
         self._engine = engine
-
-    @property
-    def wrapped(self) -> AssociationGoalModel:
-        """The underlying immutable model."""
-        return self._model
+        self._labels: LabelTables = engine.labels
 
     def csr_engine(self) -> BatchRecommender:
         """The generation's CSR engine.
@@ -288,10 +299,96 @@ class CachedModelView:
         """
         return self._engine
 
-    def __getattr__(self, name: str) -> Any:
-        # Everything not overridden below (label translation, index access,
-        # derived statistics) delegates to the wrapped model unchanged.
-        return getattr(self._model, name)
+    @property
+    def labels(self) -> LabelTables:
+        """The generation's label tables (the engine's)."""
+        return self._labels
+
+    # -- sizes ---------------------------------------------------------
+
+    @property
+    def num_actions(self) -> int:
+        """Number of distinct actions."""
+        return self._engine.num_actions
+
+    @property
+    def num_goals(self) -> int:
+        """Number of distinct goals."""
+        return self._engine.num_goals
+
+    @property
+    def num_implementations(self) -> int:
+        """Number of implementations."""
+        return self._engine.num_implementations
+
+    # -- label/id translation -----------------------------------------
+
+    def action_id(self, label: ActionLabel) -> int:
+        """Id of an action label; raises :class:`UnknownActionError`."""
+        return self._labels.action_id(label)
+
+    def goal_id(self, label: GoalLabel) -> int:
+        """Id of a goal label; raises :class:`UnknownGoalError`."""
+        return self._labels.goal_id(label)
+
+    def action_label(self, aid: int) -> ActionLabel:
+        """Label of an action id."""
+        return self._labels.actions[aid]
+
+    def goal_label(self, gid: int) -> GoalLabel:
+        """Label of a goal id."""
+        return self._labels.goals[gid]
+
+    def has_action(self, label: ActionLabel) -> bool:
+        """``True`` when ``label`` is an indexed action."""
+        return label in self._labels.action_ids
+
+    def has_goal(self, label: GoalLabel) -> bool:
+        """``True`` when ``label`` is an indexed goal."""
+        return label in self._labels.goal_ids
+
+    def encode_activity(
+        self, activity: Iterable[ActionLabel], strict: bool = False
+    ) -> frozenset[int]:
+        """Translate action labels to ids (unknown ones dropped unless
+        ``strict``)."""
+        return self._labels.encode(activity, strict)
+
+    # -- index lookups -------------------------------------------------
+
+    def _row(self, pid: int) -> np.ndarray:
+        """Row ``pid`` of ``M``: its action ids, ascending."""
+        engine = self._engine
+        return engine._m_indices[engine._m_indptr[pid]:engine._m_indptr[pid + 1]]
+
+    def implementation_actions(self, pid: int) -> frozenset[int]:
+        """``GI-A-idx[pid]`` — row ``pid`` of ``M``."""
+        return frozenset(self._row(pid).tolist())
+
+    def implementation_goal(self, pid: int) -> int:
+        """``GI-G-idx[pid]`` — ``goal_of_impl[pid]``."""
+        return int(self._engine._goal_of_impl[pid])
+
+    def implementations_of_action(self, aid: int) -> frozenset[int]:
+        """``A-GI-idx[aid]`` — the action's posting list."""
+        return frozenset(self._engine._post_rows[aid].tolist())
+
+    def implementations_of_goal(self, gid: int) -> frozenset[int]:
+        """``G-GI-idx[gid]`` — the implementations whose goal is ``gid``."""
+        return frozenset(
+            np.flatnonzero(self._engine._goal_of_impl == gid).tolist()
+        )
+
+    def implementation(self, pid: int) -> GoalImplementation:
+        """Implementation ``pid`` at the label level."""
+        actions = self._labels.actions
+        return GoalImplementation(
+            goal=self.goal_label(self.implementation_goal(pid)),
+            actions=frozenset(actions[a] for a in self._row(pid).tolist()),
+            impl_id=pid,
+        )
+
+    # -- space queries -------------------------------------------------
 
     def _space(self, stage: str, index: int, activity: frozenset[int]) -> set[int]:
         """One of the engine's ``(IS, GS, AS)`` arrays as a set, under its
@@ -319,23 +416,70 @@ class CachedModelView:
         """``AS(H) − H`` from the engine."""
         return self.action_space(activity) - activity
 
+    def goal_completeness(self, gid: int, activity: frozenset[int]) -> float:
+        """Best ``|A∩H| / |A|`` over the goal's implementations (Eq. 3)."""
+        best = 0.0
+        for pid in self.implementations_of_goal(gid):
+            row = self._row(pid).tolist()
+            value = len(activity.intersection(row)) / len(row)
+            if value > best:
+                best = value
+        return best
+
     def goal_space_labels(
         self, activity: Iterable[ActionLabel]
     ) -> set[GoalLabel]:
         """Label-level ``GS(H)`` from the engine."""
-        encoded = self._model.encode_activity(activity)
-        return {
-            self._model.goal_label(gid) for gid in self.goal_space(encoded)
-        }
+        goals = self._labels.goals
+        return {goals[gid] for gid in self.goal_space(self.encode_activity(activity))}
 
     def action_space_labels(
         self, activity: Iterable[ActionLabel]
     ) -> set[ActionLabel]:
         """Label-level ``AS(H)`` from the engine."""
-        encoded = self._model.encode_activity(activity)
+        actions = self._labels.actions
         return {
-            self._model.action_label(aid) for aid in self.action_space(encoded)
+            actions[aid]
+            for aid in self.action_space(self.encode_activity(activity))
         }
+
+    # -- library statistics --------------------------------------------
+
+    def action_frequencies(self) -> dict[int, float]:
+        """Per-action frequency ``|A-GI-idx[a]| / |L|`` (posting-list
+        lengths over the implementation count)."""
+        total = self.num_implementations
+        lengths = np.diff(self._engine._post_indptr).tolist()
+        return {aid: length / total for aid, length in enumerate(lengths)}
+
+    def stats(self) -> LibraryStats:
+        """Library-level statistics from the CSR row lengths."""
+        engine = self._engine
+        entries = int(engine._m_indptr[-1])
+        return LibraryStats(
+            num_implementations=engine.num_implementations,
+            num_goals=engine.num_goals,
+            num_actions=engine.num_actions,
+            connectivity=entries / engine.num_actions,
+            avg_implementation_length=entries / engine.num_implementations,
+            max_implementation_length=int(np.diff(engine._m_indptr).max()),
+            avg_implementations_per_goal=(
+                engine.num_implementations / engine.num_goals
+            ),
+        )
+
+
+def build_served_view(log: IncrementalGoalModel) -> CachedModelView:
+    """Index a mutation log's live implementations for serving.
+
+    Interns them in ascending log-id order (:func:`intern_library`, the
+    same walk :meth:`~repro.core.incremental.IncrementalGoalModel.freeze`
+    takes, so the ids equal the reference model's), builds the
+    generation's CSR engine from the label tables and id-sorted rows, and
+    wraps it.  No :class:`~repro.core.model.AssociationGoalModel` is
+    built.  The log must hold at least one live implementation.
+    """
+    return CachedModelView(intern_library(log.implementations()))
 
 
 class CachingRecommender:

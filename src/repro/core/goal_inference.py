@@ -28,7 +28,7 @@ from repro.core.model import AssociationGoalModel
 from repro.exceptions import RecommendationError
 from repro.utils.validation import require_in
 
-_SCORERS = ("evidence", "completeness", "coverage")
+SCORERS = ("evidence", "completeness", "coverage")
 
 
 class GoalInferencer:
@@ -44,7 +44,7 @@ class GoalInferencer:
     def __init__(
         self, model: AssociationGoalModel, scorer: str = "coverage"
     ) -> None:
-        require_in(scorer, _SCORERS, "scorer")
+        require_in(scorer, SCORERS, "scorer")
         self.model = model
         self.scorer = scorer
 

@@ -5,14 +5,18 @@ serving one generation, wrong for a live deployment where new goal
 implementations stream in (new recipes get published, users post new
 success stories) and stale ones are retired.  :class:`IncrementalGoalModel`
 records those mutations and nothing else: the live implementations by id,
-a dedup map and a monotonic id counter.  It answers no queries; every read
-goes through a model indexed by :meth:`IncrementalGoalModel.freeze`.
+a dedup map and a monotonic id counter.  It answers no queries: the
+serving layer interns :meth:`IncrementalGoalModel.implementations` into
+each generation's CSR engine
+(:func:`~repro.core.caching.build_served_view`), and
+:meth:`IncrementalGoalModel.freeze` indexes them into a reference
+:class:`AssociationGoalModel` for tests and offline use.
 
 - implementation ids are never reused after removal (monotonic counter), so
   external references stay unambiguous;
-- :meth:`~IncrementalGoalModel.freeze` indexes the live implementations in
-  ascending id order, so it equals
-  ``AssociationGoalModel.from_library(log.to_library())`` id for id.
+- both walk the live implementations in ascending id order, so the served
+  ids equal ``AssociationGoalModel.from_library(log.to_library())``'s id
+  for id.
 """
 
 from __future__ import annotations
@@ -100,6 +104,10 @@ class IncrementalGoalModel:
             return self._live[pid]
         except KeyError:
             raise ModelError(f"no live implementation with id {pid}") from None
+
+    def implementations(self) -> Iterable[GoalImplementation]:
+        """The live implementations, in ascending id order (a live view)."""
+        return self._live.values()
 
     def to_library(self) -> ImplementationLibrary:
         """Export the live implementations, in ascending id order."""

@@ -21,11 +21,19 @@ the paper introduces five index structures, all materialized here:
 The model is immutable once built.  All recommendation strategies operate on
 integer ids through this class; the :class:`~repro.core.recommender.GoalRecommender`
 facade translates labels at the boundary.
+
+:func:`intern_library` is the one place that assigns the dense ids: goals in
+first-seen order, actions in first-seen order of each implementation's
+label-sorted walk.  The model, its goal projection and the serving layer's
+CSR engine (:class:`~repro.core.vectorized.BatchRecommender`) are all built
+from its :class:`InternedLibrary`, so their ids agree by construction, and
+tie-breaking, which follows the ids, agrees with them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 from time import perf_counter
 
 from repro import obs
@@ -60,6 +68,98 @@ def _count_space_query(space: str) -> None:
         )
         cached[1][space] = counter
     counter.inc()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class LabelTables:
+    """The ``A-idx`` and ``G-idx``: labels by id, and ids by label."""
+
+    actions: list[ActionLabel]
+    goals: list[GoalLabel]
+    action_ids: dict[ActionLabel, int]
+    goal_ids: dict[GoalLabel, int]
+
+    def action_id(self, label: ActionLabel) -> int:
+        """Id of an action label; raises :class:`UnknownActionError`."""
+        try:
+            return self.action_ids[label]
+        except KeyError:
+            raise UnknownActionError(label) from None
+
+    def goal_id(self, label: GoalLabel) -> int:
+        """Id of a goal label; raises :class:`UnknownGoalError`."""
+        try:
+            return self.goal_ids[label]
+        except KeyError:
+            raise UnknownGoalError(label) from None
+
+    def encode(
+        self, activity: Iterable[ActionLabel], strict: bool = False
+    ) -> frozenset[int]:
+        """Translate action labels to ids.
+
+        Unknown actions are silently dropped by default — a user activity
+        routinely contains actions that appear in no implementation (e.g.
+        buying napkins, which no recipe uses).  With ``strict=True`` an
+        unknown action raises :class:`UnknownActionError` instead.
+        """
+        ids = self.action_ids
+        encoded: set[int] = set()
+        for label in activity:
+            aid = ids.get(label)
+            if aid is None:
+                if strict:
+                    raise UnknownActionError(label)
+                continue
+            encoded.add(aid)
+        return frozenset(encoded)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class InternedLibrary:
+    """A library interned to dense ids: the label tables plus, per
+    implementation, its action ids ascending (``GI-A-idx``) and its goal id
+    (``GI-G-idx``)."""
+
+    labels: LabelTables
+    impl_rows: list[list[int]]
+    impl_goal: list[int]
+
+
+def intern_library(library: Iterable[GoalImplementation]) -> InternedLibrary:
+    """Assign dense ids to a duplicate-free sequence of implementations.
+
+    Goals get ids in first-seen order; actions in first-seen order of the
+    walk over each implementation's actions sorted by ``str``.  Sorted, not
+    set order: set order for strings varies with ``PYTHONHASHSEED``, and
+    the ids decide tie-breaking, so it must not differ across processes.
+    """
+    action_ids: dict[ActionLabel, int] = {}
+    goal_ids: dict[GoalLabel, int] = {}
+    actions: list[ActionLabel] = []
+    goals: list[GoalLabel] = []
+    impl_rows: list[list[int]] = []
+    impl_goal: list[int] = []
+    for impl in library:
+        gid = goal_ids.get(impl.goal)
+        if gid is None:
+            gid = len(goals)
+            goal_ids[impl.goal] = gid
+            goals.append(impl.goal)
+        row: list[int] = []
+        for label in sorted(impl.actions, key=str):
+            aid = action_ids.get(label)
+            if aid is None:
+                aid = len(actions)
+                action_ids[label] = aid
+                actions.append(label)
+            row.append(aid)
+        row.sort()
+        impl_rows.append(row)
+        impl_goal.append(gid)
+    return InternedLibrary(
+        LabelTables(actions, goals, action_ids, goal_ids), impl_rows, impl_goal
+    )
 
 
 class AssociationGoalModel:
@@ -102,6 +202,9 @@ class AssociationGoalModel:
             raise ModelError("duplicate action labels in model construction")
         if len(self._goal_to_id) != len(goals):
             raise ModelError("duplicate goal labels in model construction")
+        self._labels = LabelTables(
+            actions, goals, self._action_to_id, self._goal_to_id
+        )
         self._impl_actions = impl_actions  # GI-A-idx
         self._impl_goal = impl_goal  # GI-G-idx
         # Build the inverted indexes (A-GI-idx, G-GI-idx).
@@ -128,7 +231,7 @@ class AssociationGoalModel:
         sequence of implementations) into a model, in iteration order."""
         with obs.trace_span("model.from_library") as span:
             start = perf_counter()
-            model = cls._build_from_library(library)
+            model = cls._from_interned(intern_library(library))
             if obs.metrics_enabled():
                 model._record_build(perf_counter() - start)
             if span.is_recording:
@@ -140,35 +243,14 @@ class AssociationGoalModel:
         return model
 
     @classmethod
-    def _build_from_library(
-        cls, library: Iterable[GoalImplementation]
-    ) -> "AssociationGoalModel":
-        action_to_id: dict[ActionLabel, int] = {}
-        goal_to_id: dict[GoalLabel, int] = {}
-        actions: list[ActionLabel] = []
-        goals: list[GoalLabel] = []
-        impl_actions: list[frozenset[int]] = []
-        impl_goal: list[int] = []
-        for impl in library:
-            gid = goal_to_id.get(impl.goal)
-            if gid is None:
-                gid = len(goals)
-                goal_to_id[impl.goal] = gid
-                goals.append(impl.goal)
-            encoded = set()
-            # Sorted iteration: otherwise action-id assignment would follow
-            # set order, which for strings varies with PYTHONHASHSEED and
-            # would make tie-breaking differ across processes.
-            for label in sorted(impl.actions, key=str):
-                aid = action_to_id.get(label)
-                if aid is None:
-                    aid = len(actions)
-                    action_to_id[label] = aid
-                    actions.append(label)
-                encoded.add(aid)
-            impl_actions.append(frozenset(encoded))
-            impl_goal.append(gid)
-        return cls(actions, goals, impl_actions, impl_goal)
+    def _from_interned(cls, interned: InternedLibrary) -> "AssociationGoalModel":
+        labels = interned.labels
+        return cls(
+            labels.actions,
+            labels.goals,
+            [frozenset(row) for row in interned.impl_rows],
+            interned.impl_goal,
+        )
 
     def _record_build(self, elapsed: float) -> None:
         """Report one index construction into the metrics registry."""
@@ -219,17 +301,11 @@ class AssociationGoalModel:
 
     def action_id(self, label: ActionLabel) -> int:
         """Id of an action label; raises :class:`UnknownActionError`."""
-        try:
-            return self._action_to_id[label]
-        except KeyError:
-            raise UnknownActionError(label) from None
+        return self._labels.action_id(label)
 
     def goal_id(self, label: GoalLabel) -> int:
         """Id of a goal label; raises :class:`UnknownGoalError`."""
-        try:
-            return self._goal_to_id[label]
-        except KeyError:
-            raise UnknownGoalError(label) from None
+        return self._labels.goal_id(label)
 
     def action_label(self, aid: int) -> ActionLabel:
         """Label of an action id."""
@@ -258,26 +334,31 @@ class AssociationGoalModel:
     def encode_activity(
         self, activity: Iterable[ActionLabel], strict: bool = False
     ) -> frozenset[int]:
-        """Translate action labels to ids.
-
-        Unknown actions are silently dropped by default — a user activity
-        routinely contains actions that appear in no implementation (e.g.
-        buying napkins, which no recipe uses).  With ``strict=True`` an
-        unknown action raises :class:`UnknownActionError` instead.
-        """
-        encoded: set[int] = set()
-        for label in activity:
-            aid = self._action_to_id.get(label)
-            if aid is None:
-                if strict:
-                    raise UnknownActionError(label)
-                continue
-            encoded.add(aid)
-        return frozenset(encoded)
+        """Translate action labels to ids (see :meth:`LabelTables.encode`)."""
+        return self._labels.encode(activity, strict)
 
     def decode_actions(self, ids: Iterable[int]) -> list[ActionLabel]:
         """Translate action ids back to labels."""
         return [self._actions[aid] for aid in ids]
+
+    # ------------------------------------------------------------------
+    # The label and row half the CSR engine is built from
+    # ------------------------------------------------------------------
+
+    @property
+    def labels(self) -> LabelTables:
+        """The model's label tables (shared, not copied)."""
+        return self._labels
+
+    @property
+    def impl_rows(self) -> list[list[int]]:
+        """Each implementation's action ids, ascending (``GI-A-idx``)."""
+        return [sorted(actions) for actions in self._impl_actions]
+
+    @property
+    def impl_goal(self) -> list[int]:
+        """Each implementation's goal id (``GI-G-idx``)."""
+        return self._impl_goal
 
     # ------------------------------------------------------------------
     # Raw index access (id level)
@@ -445,48 +526,22 @@ class AssociationGoalModel:
             for goal in goals
             if goal in self._goal_to_id
         }
-        # Project at the id level via G-GI-idx: collect the surviving
-        # implementation ids directly instead of round-tripping every
-        # implementation through label-level objects and a fresh library.
+        # The surviving implementation ids, in id order, via G-GI-idx.
         pids = sorted(pid for gid in wanted for pid in self._goal_impls[gid])
         if not pids:
             raise ModelError(
                 "restriction matches no implementation; the projected "
                 "model would be empty"
             )
-        # Re-densify ids exactly as from_library would: goals in first-seen
-        # order, actions in first-seen order of the per-implementation
-        # label-sorted walk, duplicates collapsed.
-        actions: list[ActionLabel] = []
-        action_map: dict[int, int] = {}
-        new_goals: list[GoalLabel] = []
-        goal_map: dict[int, int] = {}
-        impl_actions: list[frozenset[int]] = []
-        impl_goal: list[int] = []
-        seen: set[tuple[int, frozenset[int]]] = set()
+        # Each surviving implementation once, re-densified exactly as
+        # from_library would.
+        survivors: dict[tuple[GoalLabel, frozenset[ActionLabel]], GoalImplementation] = {}
         for pid in pids:
-            old_actions = self._impl_actions[pid]
-            old_gid = self._impl_goal[pid]
-            key = (old_gid, old_actions)
-            if key in seen:
-                continue
-            seen.add(key)
-            new_gid = goal_map.get(old_gid)
-            if new_gid is None:
-                new_gid = len(new_goals)
-                goal_map[old_gid] = new_gid
-                new_goals.append(self._goals[old_gid])
-            encoded = set()
-            for aid in sorted(old_actions, key=lambda a: str(self._actions[a])):
-                new_aid = action_map.get(aid)
-                if new_aid is None:
-                    new_aid = len(actions)
-                    action_map[aid] = new_aid
-                    actions.append(self._actions[aid])
-                encoded.add(new_aid)
-            impl_actions.append(frozenset(encoded))
-            impl_goal.append(new_gid)
-        return AssociationGoalModel(actions, new_goals, impl_actions, impl_goal)
+            impl = self.implementation(pid)
+            survivors.setdefault((impl.goal, impl.actions), impl)
+        return AssociationGoalModel._from_interned(
+            intern_library(survivors.values())
+        )
 
     def goal_space_labels(self, activity: Iterable[ActionLabel]) -> set[GoalLabel]:
         """Label-level convenience wrapper over :meth:`goal_space`."""

@@ -1,12 +1,14 @@
 """Structural typing for the model query surface and ranking strategies.
 
 The codebase has two interchangeable model implementations —
-:class:`~repro.core.model.AssociationGoalModel` and
-:class:`~repro.core.caching.CachedModelView` (model + CSR engine) — and
-strategies accept either because they only use the shared query surface.
-The mutable :class:`~repro.core.incremental.IncrementalGoalModel` is a
-mutation log, not a model view: it is read through the model its
-``freeze()`` indexes.  :class:`ModelView` states the contract as a
+:class:`~repro.core.model.AssociationGoalModel` (the dict and frozenset
+indexes, the reference oracle) and
+:class:`~repro.core.caching.CachedModelView` (a CSR engine's arrays and
+label tables, what the serving layer reads) — and strategies accept
+either because they only use the shared query surface.  The mutable
+:class:`~repro.core.incremental.IncrementalGoalModel` is a mutation log,
+not a model view: each served generation is a view built from it.
+:class:`ModelView` states the contract as a
 :class:`~typing.Protocol`, so ``mypy --strict`` checks both sides: a
 strategy cannot call off-surface methods, and a new model implementation
 cannot silently miss part of the surface.

@@ -4,7 +4,11 @@ The reference strategies in :mod:`repro.core.strategies` are pure-Python and
 score one activity at a time — clear, and exactly what the paper's
 pseudocode describes.  A single ``/recommend`` at paper-scale connectivity
 benefits from not walking Python sets at all.  This module lowers the
-model's indexes into int64 CSR arrays, each kept once:
+model's indexes into int64 CSR arrays, each kept once, built from an
+interned library's label tables and id-sorted rows
+(:class:`~repro.core.model.InternedLibrary`, or an
+:class:`~repro.core.model.AssociationGoalModel`, which offers the same
+half):
 
 - ``M`` (implementations × actions): ``M[p, a] = 1`` iff ``a ∈ A_p``
   (the ``GI-A-idx``; its rows are the id-sorted action lists).  Only the
@@ -28,33 +32,50 @@ keeps no matrix object.  With ``H`` a user's activity:
 - **Focus completeness/closeness**: ``o / |A_p|`` and ``1 / (|A_p| − o)``
   elementwise over implementations with ``0 < o`` and ``o < |A_p|``;
 - **Best Match** profile: ``Gᵀ o`` restricted to the goal space; candidate
-  vectors are rows of ``C``.
+  vectors are rows of ``C``;
+- **goal inference** (``/goals``): a per-goal max of ``o / |A_p|`` (or
+  ``(o / |A_p|)·(o / |H|)``) over ``goal_of_impl``, or the count of
+  activity actions ``a`` with ``C[a, g] > 0``;
+- **related actions** (``/related``): the Tanimoto similarity
+  ``S[a, b] / (|A-GI[a]| + |A-GI[b]| − S[a, b])`` over row ``a`` of ``S``;
+- **explanations** (``/explain``): the implementations of the action's
+  posting list that ``IS(H)`` reaches, decoded from their rows of ``M``.
 
 Every request, single or batched, gathers only the rows the activity
 touches, so per-request cost tracks ``|IS(H)|`` — the same asymptotics as
 the reference strategies, minus the Python interpreter.  Top-``k``
 selection is partial (:mod:`repro.core.topk`), not a full sort.
 
-Results are bit-identical to the reference strategies (asserted in the test
-suite), including the deterministic tie-breaking: every accumulated value is
-an integer count (exact in float64 regardless of summation order), and the
-single ``sqrt`` in the cosine distance matches the reference formula.
+Results are bit-identical to the reference strategies and functions
+(asserted in the test suite), including the deterministic tie-breaking:
+every accumulated value is an integer count (exact in float64 regardless of
+summation order), every ratio is the reference's expression evaluated
+elementwise in the same order, and the single ``sqrt`` in the cosine
+distance matches the reference formula.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
+from typing import Protocol, TypeVar
 
 import numpy as np
 from scipy import sparse
 
 from repro import obs
-from repro.core.entities import ActionLabel, RecommendationList, ScoredAction
-from repro.core.model import AssociationGoalModel
+from repro.core.entities import (
+    ActionLabel,
+    GoalLabel,
+    RecommendationList,
+    ScoredAction,
+)
+from repro.core.goal_inference import SCORERS
+from repro.core.model import LabelTables
 from repro.core.strategies.base import RankingStrategy, require_request_count
 from repro.core.topk import top_k_positions
-from repro.utils.validation import require_in
+from repro.exceptions import RecommendationError
+from repro.utils.validation import require_in, require_positive
 
 _STRATEGIES = ("breadth", "focus_cmp", "focus_cl", "best_match")
 
@@ -63,6 +84,42 @@ _STRATEGIES = ("breadth", "focus_cmp", "focus_cl", "best_match")
 #: stable ``argsort`` over the (id-ascending) candidates is cheaper than
 #: the partition's extra array passes.
 _PARTITION_CUTOVER = 4096
+
+_Label = TypeVar("_Label")
+
+
+class EngineSource(Protocol):
+    """What an engine is built from: the label tables, and per
+    implementation its ascending action ids and its goal id."""
+
+    @property
+    def labels(self) -> LabelTables: ...
+
+    @property
+    def impl_rows(self) -> Sequence[Sequence[int]]: ...
+
+    @property
+    def impl_goal(self) -> Sequence[int]: ...
+
+
+def _by_score_then_label(
+    ids: np.ndarray, scores: np.ndarray, labels: list[_Label], top: int | None
+) -> list[tuple[_Label, float]]:
+    """``(label, score)`` pairs sorted by ``(-score, str(label))``, first ``top``.
+
+    The order of the scalar ``/goals`` and ``/related`` functions.  Only the
+    candidates scoring at least the ``top``-th best score can make the cut,
+    so just those are decoded and sorted.
+    """
+    if top is not None and top < ids.size:
+        kth = np.partition(scores, ids.size - top)[ids.size - top]
+        keep = scores >= kth
+        ids, scores = ids[keep], scores[keep]
+    scored = [
+        (labels[i], score) for i, score in zip(ids.tolist(), scores.tolist())
+    ]
+    scored.sort(key=lambda item: (-item[1], str(item[0])))
+    return scored[:top]
 
 
 def _gather_positions(
@@ -118,45 +175,44 @@ def _frequency_order(
 
 
 class BatchRecommender:
-    """Vectorized scorer over a frozen goal model.
+    """Vectorized scorer over one interned goal library.
 
     Build once per model generation; a request is a few gathered CSR
     rows, and a bulk request is one such request per activity.
     Construction builds every derived structure, the co-occurrence index
     included, so an engine is complete and read-only from the moment it
-    exists and concurrent readers share it without a lock.  The serving layer builds
-    one instance per generation before publishing the generation's
-    snapshot (``CachedModelView.csr_engine`` / ``ModelSnapshot.engine``)
-    and routes the batch endpoint, single-activity ``rank()``, the
-    approximate tier, the ensemble's members and every space query
-    (``/spaces``, ``/explain``, ``/goals``, trace detail) through it.
+    exists and concurrent readers share it without a lock.  Besides the
+    arrays it keeps only the label tables (:attr:`labels`).  The serving
+    layer builds one instance per generation, from the mutation log's
+    interned live implementations, before publishing the generation's
+    snapshot (``CachedModelView.csr_engine`` / ``ModelSnapshot.engine``),
+    and routes every read through it: ``/recommend`` (the four paper
+    strategies and the approximate tier), the batch endpoint, the
+    ensemble's members, ``/spaces``, ``/goals``, ``/related``,
+    ``/explain`` and the trace detail.
     """
 
-    def __init__(self, model: AssociationGoalModel) -> None:
-        self.model = model
-        n_impl = model.num_implementations
-        n_actions = model.num_actions
-        # The per-implementation action lists pre-sorted by id: flattened
+    def __init__(self, source: EngineSource) -> None:
+        labels = source.labels
+        impl_rows = source.impl_rows
+        n_impl = len(impl_rows)
+        n_actions = len(labels.actions)
+        # The per-implementation action lists come sorted by id: flattened
         # they *are* ``M``'s canonical CSR structure, so no COO conversion
         # runs.  int64 throughout: the gather arithmetic's cumulative
         # offsets would overflow scipy's int32 on very large models.
-        impl_sorted = [
-            sorted(model.implementation_actions(pid)) for pid in range(n_impl)
-        ]
         self._m_indptr = np.zeros(n_impl + 1, dtype=np.int64)
         np.cumsum(
-            np.fromiter(map(len, impl_sorted), dtype=np.int64, count=n_impl),
+            np.fromiter(map(len, impl_rows), dtype=np.int64, count=n_impl),
             out=self._m_indptr[1:],
         )
         self._m_indices = np.fromiter(
-            chain.from_iterable(impl_sorted),
+            chain.from_iterable(impl_rows),
             dtype=np.int64,
             count=int(self._m_indptr[-1]),
         )
         self._goal_of_impl = np.fromiter(
-            (model.implementation_goal(pid) for pid in range(n_impl)),
-            dtype=np.int64,
-            count=n_impl,
+            source.impl_goal, dtype=np.int64, count=n_impl
         )
         # The sparse matrices only compute the derived indexes; the engine
         # keeps none of them.
@@ -167,7 +223,7 @@ class BatchRecommender:
         mt = m.T.tocsr()
         g = sparse.csr_matrix(
             (np.ones(n_impl), self._goal_of_impl, np.arange(n_impl + 1)),
-            shape=(n_impl, model.num_goals),
+            shape=(n_impl, len(labels.goals)),
         )
         # C[a, g]: number of implementations of goal g containing action a
         # (Equation 8's counts for every action at once).
@@ -177,8 +233,8 @@ class BatchRecommender:
         self._c_data = c.data
         self._c_indptr = c.indptr.astype(np.int64)
         self._c_indices = c.indices.astype(np.int64)
-        self._cooc = self._build_cooccurrence(m, mt)
-        self._derive_views()
+        self._cooc = self._build_cooccurrence(m, mt, n_actions)
+        self._derive_views(labels)
 
     # ------------------------------------------------------------------
     # Array export / zero-copy reconstruction (multi-worker serving)
@@ -213,20 +269,24 @@ class BatchRecommender:
 
     @classmethod
     def from_arrays(
-        cls, model: AssociationGoalModel, arrays: dict[str, np.ndarray]
+        cls,
+        source: LabelTables | EngineSource,
+        arrays: dict[str, np.ndarray],
     ) -> "BatchRecommender":
         """Rebuild an engine from an :meth:`export_arrays` snapshot.
 
-        ``arrays`` values may be views over shared memory; the engine keeps
-        them as given, so the rebuilt engine reads the exporter's pages
-        directly.  Results are bit-identical to an engine built from
-        ``model`` (asserted in the test suite) because every index —
-        including the frequency-ordered co-occurrence index with its
-        tie-breaking order — is taken from the snapshot, never recomputed;
-        only the small per-request views of :meth:`_derive_views` are.
+        ``source`` supplies the label tables: the exporter's own
+        :attr:`labels` (what a pool worker inherits through fork), or
+        anything carrying them.  ``arrays`` values may be views over shared
+        memory; the engine keeps them as given, so the rebuilt engine
+        reads the exporter's pages directly.  Results are bit-identical to
+        the exporting engine (asserted in the test suite) because every
+        index — including the frequency-ordered co-occurrence index with
+        its tie-breaking order — is taken from the snapshot, never
+        recomputed; only the small per-request views of
+        :meth:`_derive_views` are.
         """
         self = cls.__new__(cls)
-        self.model = model
         self._m_indptr = arrays["m_indptr64"]
         self._m_indices = arrays["m_indices64"]
         self._post_indptr = arrays["post_indptr64"]
@@ -240,22 +300,28 @@ class BatchRecommender:
             np.split(arrays["cooc_cols"], boundaries),
             np.split(arrays["cooc_vals"], boundaries),
         )
-        self._derive_views()
+        self._derive_views(
+            source if isinstance(source, LabelTables) else source.labels
+        )
         return self
 
-    def _derive_views(self) -> None:
+    def _derive_views(self, labels: LabelTables) -> None:
         """The per-request views both constructors derive from the arrays.
 
         Implementation lengths feed the Focus scores; the per-action
         posting-list views (rows of the ``A-GI`` index) let a request
         concatenate a handful of views instead of running the index
-        arithmetic of ``_gather_positions``; the label table decodes ids.
+        arithmetic of ``_gather_positions``; the label tables encode and
+        decode ids.
         """
+        self.labels = labels
+        self.num_actions = len(labels.actions)
+        self.num_goals = len(labels.goals)
+        self.num_implementations = int(self._goal_of_impl.size)
         self._impl_lengths = np.diff(self._m_indptr).astype(np.float64)
         self._post_rows: list[np.ndarray] = np.split(
             self._post_indices, self._post_indptr[1:-1]
         )
-        self._labels = self.model.action_labels()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -283,8 +349,9 @@ class BatchRecommender:
         pids, counts = np.unique(touched, return_counts=True)
         return act, pids, counts.astype(np.float64)
 
+    @staticmethod
     def _build_cooccurrence(
-        self, m: sparse.csr_matrix, mt: sparse.csr_matrix
+        m: sparse.csr_matrix, mt: sparse.csr_matrix, n_actions: int
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The frequency-ordered co-occurrence index.
 
@@ -301,8 +368,8 @@ class BatchRecommender:
         """
         s = (mt @ m).tocsr()
         indptr = s.indptr.astype(np.int64)
-        row_of = np.repeat(np.arange(self.model.num_actions), np.diff(indptr))
-        order = _frequency_order(row_of, s.data, s.indices, self.model.num_actions)
+        row_of = np.repeat(np.arange(n_actions), np.diff(indptr))
+        order = _frequency_order(row_of, s.data, s.indices, n_actions)
         boundaries = indptr[1:-1]
         return (
             np.split(s.indices.astype(np.int64)[order], boundaries),
@@ -357,7 +424,7 @@ class BatchRecommender:
         scores = np.bincount(
             sub_cols,
             weights=np.concatenate(val_parts),
-            minlength=self.model.num_actions,
+            minlength=self.num_actions,
         )
         # Candidates are AS(H) − H: every reached action has a positive
         # co-occurrence count, so zeroing H and keeping the positive
@@ -482,10 +549,10 @@ class BatchRecommender:
             return empty
         touched_goals = self._goal_of_impl[pids]
         profile = np.bincount(
-            touched_goals, weights=overlaps, minlength=self.model.num_goals
+            touched_goals, weights=overlaps, minlength=self.num_goals
         )
         profile_norm_sq = float(profile @ profile)
-        gs_indicator = np.zeros(self.model.num_goals)
+        gs_indicator = np.zeros(self.num_goals)
         gs_indicator[touched_goals] = 1.0
         c_positions, c_lengths = _gather_positions(self._c_indptr, candidates)
         c_goals = self._c_indices[c_positions]
@@ -525,12 +592,12 @@ class BatchRecommender:
         ``c`` (the diagonal keeps ``H``'s own co-occurring actions in
         ``AS``, as the scalar query does).
         """
-        impl_mask = np.zeros(self.model.num_implementations, dtype=bool)
+        impl_mask = np.zeros(self.num_implementations, dtype=bool)
         impl_mask[np.concatenate([self._post_rows[a] for a in activity])] = True
-        goal_mask = np.zeros(self.model.num_goals, dtype=bool)
+        goal_mask = np.zeros(self.num_goals, dtype=bool)
         goal_mask[self._goal_of_impl[impl_mask]] = True
         col_rows = self._cooc[0]
-        action_mask = np.zeros(self.model.num_actions, dtype=bool)
+        action_mask = np.zeros(self.num_actions, dtype=bool)
         action_mask[np.concatenate([col_rows[a] for a in activity])] = True
         return impl_mask, goal_mask, action_mask
 
@@ -572,6 +639,100 @@ class BatchRecommender:
         )
 
     # ------------------------------------------------------------------
+    # Goal inference, related actions and explanations (label level)
+    # ------------------------------------------------------------------
+
+    def infer_goals(
+        self,
+        activity: Iterable[ActionLabel],
+        scorer: str = "coverage",
+        top: int | None = None,
+    ) -> list[tuple[GoalLabel, float]]:
+        """Every goal of ``GS(H)`` scored, best first; ties by goal label.
+
+        Equal, list for list, to
+        :meth:`~repro.core.goal_inference.GoalInferencer.infer` over the
+        same library (asserted in the test suite): ``evidence`` counts the
+        activity actions ``a`` with ``C[a, g] > 0``; ``completeness`` and
+        ``coverage`` take a per-goal max over ``goal_of_impl`` of the
+        scalar scorer's expression, evaluated elementwise.
+        """
+        require_in(scorer, SCORERS, "scorer")
+        if top is not None and top <= 0:
+            raise RecommendationError(f"top must be positive, got {top}")
+        encoded = self.labels.encode(activity)
+        act, pids, overlaps = self._overlap_counts(encoded)
+        if pids.size == 0:
+            return []
+        if scorer == "evidence":
+            positions, _ = _gather_positions(self._c_indptr, act)
+            counts = np.bincount(
+                self._c_indices[positions], minlength=self.num_goals
+            )
+            gids = np.flatnonzero(counts)
+            scores = counts[gids] / len(encoded)
+        else:
+            values = overlaps / self._impl_lengths[pids]
+            if scorer == "coverage":
+                values = values * (overlaps / len(encoded))
+            goals = self._goal_of_impl[pids]
+            best = np.zeros(self.num_goals)
+            np.maximum.at(best, goals, values)
+            gids = np.unique(goals)
+            scores = best[gids]
+        return _by_score_then_label(gids, scores, self.labels.goals, top)
+
+    def related_actions(
+        self, action: ActionLabel, k: int = 10
+    ) -> list[tuple[ActionLabel, float]]:
+        """The ``k`` actions most related to ``action``; ties by label.
+
+        Equal, list for list, to :func:`repro.core.related.related_actions`
+        (asserted in the test suite): row ``a`` of ``S`` holds every
+        co-occurring action ``b`` with its intersection count, and the
+        posting-list lengths are ``|A-GI[a]|`` and ``|A-GI[b]|``.  Raises
+        :class:`~repro.exceptions.UnknownActionError` for unindexed actions.
+        """
+        require_positive(k, "k")
+        aid = self.labels.action_id(action)
+        cols, counts = self._cooc[0][aid], self._cooc[1][aid]
+        others = cols != aid
+        cols, counts = cols[others], counts[others]
+        indptr = self._post_indptr
+        degrees = indptr[cols + 1] - indptr[cols]
+        similarity = counts / (indptr[aid + 1] - indptr[aid] + degrees - counts)
+        return _by_score_then_label(cols, similarity, self.labels.actions, k)
+
+    def explain(
+        self, activity: Iterable[ActionLabel], action: ActionLabel
+    ) -> dict[GoalLabel, list[frozenset[ActionLabel]]]:
+        """Per goal, the actions of each implementation that contains
+        ``action`` and intersects the activity.
+
+        Equal to :meth:`~repro.core.recommender.GoalRecommender.explain`
+        (asserted in the test suite): goals in order of their lowest
+        implementation id, implementations ascending within a goal.
+        Raises :class:`~repro.exceptions.UnknownActionError` for
+        unindexed actions.
+        """
+        encoded = self.labels.encode(activity)
+        aid = self.labels.action_id(action)
+        evidence: dict[GoalLabel, list[frozenset[ActionLabel]]] = {}
+        if not encoded:
+            return evidence
+        pids = self._post_rows[aid]
+        reached = np.concatenate([self._post_rows[a] for a in encoded])
+        pids = pids[np.isin(pids, reached)]
+        goals, actions = self.labels.goals, self.labels.actions
+        indptr, indices = self._m_indptr, self._m_indices
+        for pid, gid in zip(pids.tolist(), self._goal_of_impl[pids].tolist()):
+            row = indices[indptr[pid]:indptr[pid + 1]].tolist()
+            evidence.setdefault(goals[gid], []).append(
+                frozenset(actions[a] for a in row)
+            )
+        return evidence
+
+    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
@@ -598,9 +759,9 @@ class BatchRecommender:
     ) -> RecommendationList:
         """Label-level single-request entry point."""
         require_request_count(k, "k")
-        encoded = self.model.encode_activity(activity)
+        encoded = self.labels.encode(activity)
         ranked = self.rank(encoded, k, strategy)
-        labels = self._labels
+        labels = self.labels.actions
         return RecommendationList(
             strategy=strategy,
             items=tuple(
@@ -647,7 +808,7 @@ class CsrStrategy(RankingStrategy):
     machinery (spans, histograms, label decoding) runs unchanged while the
     scoring happens in the engine.  The ``model`` argument of :meth:`rank`
     is ignored — the engine is bound to its own model generation, and the
-    facade guarantees both refer to the same frozen model.
+    facade guarantees both refer to the same one.
     """
 
     def __init__(self, engine: BatchRecommender, name: str) -> None:
@@ -681,7 +842,7 @@ class CsrStrategy(RankingStrategy):
             return super().recommend(model, activity, k)  # type: ignore[arg-type]
         require_request_count(k, "k")
         ranked = self.engine.rank(activity, k, self.name)
-        labels = self.engine._labels
+        labels = self.engine.labels.actions
         # The engine's contract already guarantees ``(id, float)`` pairs,
         # so the items skip the dataclass ``__init__``/``__post_init__``
         # re-validation — equality and hashing are field-based and see

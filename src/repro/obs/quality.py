@@ -156,11 +156,13 @@ class BaselineProfile:
     def from_model(cls, model: "ModelView", generation: int = 0) -> "BaselineProfile":
         """Freeze a profile from a model's library action frequencies.
 
-        Uses ``action_frequencies()`` when the model offers it (the
-        indexed :class:`~repro.core.model.AssociationGoalModel` does);
-        other :class:`~repro.core.protocols.ModelView` implementations
-        fall back to a uniform profile over their action vocabulary —
-        still enough to flag vocabulary drift via the OOV bucket.
+        Uses ``action_frequencies()`` when the model offers it (both the
+        reference :class:`~repro.core.model.AssociationGoalModel` and the
+        serving layer's :class:`~repro.core.caching.CachedModelView`, which
+        reads the CSR engine's posting-list lengths, do); other
+        :class:`~repro.core.protocols.ModelView` implementations fall back
+        to a uniform profile over their action vocabulary — still enough
+        to flag vocabulary drift via the OOV bucket.
         """
         frequencies = getattr(model, "action_frequencies", None)
         if callable(frequencies):

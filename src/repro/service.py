@@ -52,11 +52,13 @@ Endpoints (JSON unless noted):
 - ``POST /spaces`` — body ``{"activity": [...]}`` → the goal and action
   spaces of the activity (paper Equations 1-2);
 - ``POST /explain`` — body ``{"activity": [...], "action": "..."}`` → the
-  implementations grounding that candidate;
+  implementations grounding that candidate (from the CSR engine);
 - ``POST /goals`` — body ``{"activity": [...], "scorer": "coverage",
-  "top": 10}`` → the goals the activity most likely pursues, scored;
+  "top": 10}`` → the goals the activity most likely pursues, scored by
+  the CSR engine;
 - ``POST /related`` — body ``{"action": "...", "k": 10}`` → the actions
-  sharing implementations with that one, by Tanimoto similarity;
+  sharing implementations with that one, by Tanimoto similarity over a
+  row of the engine's co-occurrence index;
 - ``PUT    /model/implementations`` — body ``{"implementations":
   [{"goal": g, "actions": [...]}, ...]}`` → hot-add implementations;
 - ``DELETE /model/implementations/<id>`` — hot-remove one implementation
@@ -64,17 +66,20 @@ Endpoints (JSON unless noted):
 
 Hot reload semantics: the service owns a mutation log
 (:class:`~repro.core.incremental.IncrementalGoalModel`) behind a
-readers-writer lock.  Generation 0 serves the model the service was
-given; each mutation takes the write lock, appends to the log, freezes a
-new serving model, builds its CSR engine and bumps the
-**generation counter**; the swap invalidates the recommendation and
-implementation-space LRUs and publishes the snapshot only once its engine
-is built, so no ``ThreadingHTTPServer`` worker thread ever observes a
-half-updated index.  Reads resolve the current snapshot under
-the read lock and then run lock-free against immutable state; the
-generation is part of every cache key, so a request still in flight on a
-retired snapshot can finish (and even store its result) without ever
-being visible to the new generation.
+readers-writer lock.  Every generation, the first included, is built the
+same way: the log's live implementations are interned into label tables
+and id-sorted rows, the CSR engine is built from them and wrapped in a
+:class:`~repro.core.caching.CachedModelView` that answers every read
+(:func:`~repro.core.caching.build_served_view`); no
+:class:`~repro.core.model.AssociationGoalModel` is built.  Each mutation
+takes the write lock, appends to the log, builds the next generation and
+bumps the **generation counter**; the swap invalidates the recommendation
+LRU and publishes the snapshot only once its engine is built, so no
+``ThreadingHTTPServer`` worker thread ever observes a half-updated index.
+Reads resolve the current snapshot under the read lock and then run
+lock-free against immutable state; the generation is part of every cache
+key, so a request still in flight on a retired snapshot can finish (and
+even store its result) without ever being visible to the new generation.
 
 Conventions:
 
@@ -164,8 +169,14 @@ if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy 
 from repro import obs
 from repro._version import __version__
 from repro.core.approximate import PrunedBreadthStrategy
-from repro.core.caching import CachedModelView, CachingRecommender, LRUCache
+from repro.core.caching import (
+    CachedModelView,
+    CachingRecommender,
+    LRUCache,
+    build_served_view,
+)
 from repro.core.entities import ActionLabel, GoalLabel, RecommendationList
+from repro.core.goal_inference import SCORERS
 from repro.core.library import LibraryStats
 from repro.core.incremental import IncrementalGoalModel
 from repro.core.model import AssociationGoalModel
@@ -188,6 +199,7 @@ from repro.utils.concurrency import (
     make_condition,
     make_lock,
 )
+from repro.utils.validation import require_in
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: an activity list, not a bulk upload
 _MAX_BATCH_BODY_BYTES = 8 << 20  # batch scoring legitimately ships more
@@ -382,44 +394,47 @@ class ModelSnapshot:
 
     Everything a read path needs hangs off the snapshot, so a handler
     resolves it once (under the read lock) and then runs against state that
-    no writer will ever mutate.  ``frozen`` is ``None`` for the empty model
+    no writer will ever mutate.  ``view`` is ``None`` for the empty model
     (every implementation removed) — read endpoints degrade to empty
     results instead of erroring.  ``engine`` is the generation's one CSR
-    engine, built before the snapshot is published; ``/recommend``,
-    ``/recommend/batch``, the approximate tier and the quality monitor's
-    sampled reads all score through it.
+    engine, built before the snapshot is published and carried by
+    ``view``; every read route — ``/recommend``, ``/recommend/batch``,
+    the approximate tier, ``/spaces``, ``/goals``, ``/related``,
+    ``/explain``, ``/health`` — and the quality monitor read through it.
     """
 
     __slots__ = (
-        "generation", "frozen", "recommender", "caching_recommender",
-        "engine",
+        "generation", "view", "recommender", "caching_recommender", "engine",
     )
 
     def __init__(
         self,
         generation: int,
-        frozen: AssociationGoalModel | None,
+        view: CachedModelView | None,
         recommender: GoalRecommender | None,
         caching_recommender: CachingRecommender | None,
     ) -> None:
         self.generation = generation
-        self.frozen = frozen
+        self.view = view
         self.recommender = recommender
         self.caching_recommender = caching_recommender
         self.engine: BatchRecommender | None = (
-            None if recommender is None else recommender.csr_engine()
+            None if view is None else view.csr_engine()
         )
 
 
 class ModelManager:
     """The mutable serving state: mutation log, cache, generation.
 
-    Generation 0 serves the :class:`AssociationGoalModel` it is given (or
-    ``engine.model`` when it is given a log plus an engine); every later
-    generation freezes the log.  Readers call :meth:`snapshot` (read lock,
+    Every generation is built from the log by
+    :func:`~repro.core.caching.build_served_view`.  An
+    :class:`AssociationGoalModel` given to the constructor is turned into
+    a log once; an ``engine`` given with a log (a pool worker's
+    shared-memory engine, exported by the parent from the same log) serves
+    generation 0 as it is.  Readers call :meth:`snapshot` (read lock,
     O(1)) and work against the returned :class:`ModelSnapshot`.  Writers
     (:meth:`add_implementations`, :meth:`remove_implementation`) take the
-    write lock for the whole mutate-refreeze-invalidate-swap sequence, so
+    write lock for the whole mutate-rebuild-invalidate-swap sequence, so
     the generation counter, the result cache and the engine always change
     together.
     """
@@ -434,17 +449,11 @@ class ModelManager:
         engine: BatchRecommender | None = None,
     ) -> None:
         self._lock = RWLock(site="ModelManager._lock")
-        # Generation 0 serves the engine's model when there is an engine (a
-        # worker hands over a log plus its shared-memory engine), else the
-        # model given; only a bare log is frozen.
-        served: AssociationGoalModel | None
-        if isinstance(model, IncrementalGoalModel):
-            self._log, served = model, None
-        else:
-            self._log = IncrementalGoalModel.from_library(model.to_library())
-            served = model
-        if engine is not None:
-            served = engine.model
+        self._log = (
+            model
+            if isinstance(model, IncrementalGoalModel)
+            else IncrementalGoalModel.from_library(model.to_library())
+        )
         # ``initial_generation`` lets a respawned multi-worker process
         # (forked from the parent's *current* model state) report the same
         # generation as its surviving siblings instead of restarting at 0.
@@ -455,13 +464,15 @@ class ModelManager:
         # set_mutation_router().
         self._mutation_router: Any = None
         # Invoked (under the write lock) with every snapshot published by
-        # a hot mutation — the service uses it to refreeze the drift
+        # a hot mutation — the service uses it to re-seed the drift
         # baseline per generation.  NOT called for the initial snapshot
         # built here; the service seeds that itself after construction.
         self._on_swap = on_swap
         self.recommendation_cache = LRUCache(cache_size, name="recommendations")
         self._base_recommender: GoalRecommender | None = None
-        self._snapshot = self._build_snapshot_locked(served, engine)
+        self._snapshot = self._build_snapshot_locked(
+            None if engine is None else CachedModelView(engine=engine)
+        )
         self._publish_generation_locked()
 
     def set_mutation_router(self, router: Any) -> None:
@@ -485,23 +496,14 @@ class ModelManager:
     # ------------------------------------------------------------------
 
     def _build_snapshot_locked(
-        self,
-        frozen: AssociationGoalModel | None = None,
-        engine: BatchRecommender | None = None,
+        self, cached_view: CachedModelView | None = None
     ) -> ModelSnapshot:
         if self._log.num_implementations == 0:
             return ModelSnapshot(self._generation, None, None, None)
-        if (
-            frozen is None
-            or frozen.num_implementations != self._log.num_implementations
-        ):
-            # A given model serves only while it indexes exactly the log's
-            # live implementations (a duplicate-holding model does not),
-            # so its ids are the log's ids.
-            frozen, engine = self._log.freeze(), None
-        # The view builds the generation's CSR engine here, before the
-        # snapshot is published, unless it was handed the initial one.
-        cached_view = CachedModelView(frozen, engine=engine)
+        if cached_view is None:
+            # The generation's CSR engine is built here, before the
+            # snapshot is published.
+            cached_view = build_served_view(self._log)
         if self._base_recommender is None:
             recommender = GoalRecommender(cached_view)
             # The approximate tier's budget is service configuration, not a
@@ -517,7 +519,7 @@ class ModelManager:
         self._base_recommender = recommender
         return ModelSnapshot(
             self._generation,
-            frozen,
+            cached_view,
             recommender,
             CachingRecommender(
                 recommender,
@@ -576,7 +578,7 @@ class ModelManager:
         """The served generation's statistics for ``/health``."""
         with self._lock.read_locked():
             snap = self._snapshot
-        library = _EMPTY_STATS if snap.frozen is None else snap.frozen.stats()
+        library = _EMPTY_STATS if snap.view is None else snap.view.stats()
         return {
             "generation": snap.generation,
             "implementations": library.num_implementations,
@@ -627,9 +629,9 @@ class ModelManager:
         # Request-level quality hook: unlike the GoalRecommender hook this
         # one sees cache hits too, and it has the labels + snapshot needed
         # for OOV, drift and coverage accounting.
-        if obs.quality_enabled() and snap.frozen is not None:
+        if obs.quality_enabled() and snap.view is not None:
             obs.get_quality_monitor().observe_traffic(
-                activity, snap.frozen, result, generation=snap.generation
+                activity, snap.view, result, generation=snap.generation
             )
         return result, hit, snap.generation
 
@@ -1429,20 +1431,20 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _handle_goals(self, payload: dict) -> None:
-        from repro.core.goal_inference import GoalInferencer
-
         activity = self._activity_from(payload)
         scorer = payload.get("scorer", "coverage")
         top = self._positive_int_from(payload, "top", 10)
-        snap = self.service.manager.snapshot()
-        if snap.frozen is None:
-            self._send_json(200, {"scorer": scorer, "goals": []})
-            return
+        # Validated before the empty-model short-circuit, so a bad scorer
+        # is 400 whatever the model state.
         try:
-            inferencer = GoalInferencer(snap.recommender.model, scorer=scorer)
+            require_in(scorer, SCORERS, "scorer")
         except ValueError as exc:
             raise _ClientError(400, str(exc), "body key 'scorer'") from None
-        inferred = inferencer.infer(activity, top=top)
+        engine = self.service.manager.snapshot().engine
+        if engine is None:
+            self._send_json(200, {"scorer": scorer, "goals": []})
+            return
+        inferred = engine.infer_goals(activity, scorer=scorer, top=top)
         self._send_json(
             200,
             {
@@ -1461,22 +1463,20 @@ class _Handler(BaseHTTPRequestHandler):
             raise _ClientError(400, "'action' must be a string", f"got {action!r}")
         return action
 
-    def _live_recommender(self) -> GoalRecommender:
-        """The current generation's recommender; 422 when no
-        implementation is live."""
-        recommender = self.service.manager.snapshot().recommender
-        if recommender is None:
+    def _live_engine(self) -> BatchRecommender:
+        """The current generation's CSR engine; 422 when no implementation
+        is live."""
+        engine = self.service.manager.snapshot().engine
+        if engine is None:
             raise _ClientError(
                 422, "model has no live implementations", "ModelError"
             )
-        return recommender
+        return engine
 
     def _handle_related(self, payload: dict) -> None:
-        from repro.core.related import related_actions
-
         action = self._action_from(payload)
         k = self._positive_int_from(payload, "k", 10)
-        related = related_actions(self._live_recommender().model, action, k=k)
+        related = self._live_engine().related_actions(action, k=k)
         self._send_json(
             200,
             {
@@ -1491,7 +1491,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_explain(self, payload: dict) -> None:
         activity = self._activity_from(payload)
         action = self._action_from(payload)
-        evidence = self._live_recommender().explain(activity, action)
+        evidence = self._live_engine().explain(activity, action)
         self._send_json(
             200,
             {
@@ -1685,10 +1685,9 @@ class RecommenderService:
 
     Args:
         model: the goal model to serve — an
-            :class:`AssociationGoalModel`, which generation 0 serves as-is
-            (hot reload records mutations in a log built from it), or an
-            :class:`IncrementalGoalModel` log, which is frozen unless
-            ``engine`` carries its model.
+            :class:`IncrementalGoalModel` log (what ``repro serve`` loads),
+            or an :class:`AssociationGoalModel`, turned into a log once.
+            Every generation, the first included, is built from the log.
         host: bind address (loopback by default).
         port: TCP port; 0 binds an ephemeral port (read :attr:`port` after
             construction).
@@ -1751,10 +1750,10 @@ class RecommenderService:
         initial_generation: starting value of the model generation
             counter — a respawned worker resumes at the pool's current
             generation instead of 0.
-        engine: the initial generation's CSR engine; the multi-worker
-            bootstrap passes the zero-copy shared-memory reconstruction so
-            workers skip the sparse products, and generation 0 serves
-            ``engine.model``.  ``None`` builds it from the model.
+        engine: the initial generation's CSR engine, built from this
+            log's live implementations; the multi-worker bootstrap passes
+            the zero-copy shared-memory reconstruction so workers skip the
+            build.  ``None`` builds it from the log.
     """
 
     def __init__(
@@ -1832,7 +1831,7 @@ class RecommenderService:
             engine=engine,
         )
         # The manager's constructor built the generation-0 snapshot before
-        # the swap callback could see it; freeze the initial baseline now.
+        # the swap callback could see it; seed the initial baseline now.
         self._on_model_swap(self.manager.snapshot())
         self._started_at = time.time()
         self.slow_log = obs.SlowRequestLog(
@@ -1875,9 +1874,9 @@ class RecommenderService:
         self._thread: threading.Thread | None = None
 
     @property
-    def model(self) -> AssociationGoalModel | None:
-        """The frozen model of the current generation (``None`` if empty)."""
-        return self.manager.snapshot().frozen
+    def model(self) -> CachedModelView | None:
+        """The model view of the current generation (``None`` if empty)."""
+        return self.manager.snapshot().view
 
     @property
     def recommender(self) -> GoalRecommender | None:
@@ -1895,18 +1894,18 @@ class RecommenderService:
         return self._server.server_address[1]
 
     def _on_model_swap(self, snapshot: ModelSnapshot) -> None:
-        """Re-freeze the drift baseline for a newly published generation.
+        """Re-seed the drift baseline for a newly published generation.
 
         Registered as the manager's ``on_swap`` callback (invoked under the
         write lock, so it must stay cheap) and called once by ``__init__``
         for the generation the manager constructed before the callback was
         wired.
         """
-        if snapshot.frozen is None:
+        if snapshot.view is None:
             baseline = obs.BaselineProfile({}, generation=snapshot.generation)
         else:
             baseline = obs.BaselineProfile.from_model(
-                snapshot.frozen, generation=snapshot.generation
+                snapshot.view, generation=snapshot.generation
             )
         self.quality.drift.set_baseline(baseline)
 

@@ -1,7 +1,7 @@
 """Multi-process serving: shared-memory model publication + pre-fork workers.
 
 ``repro serve --workers N`` escapes the GIL by running N independent
-server processes over *one* physical copy of the frozen model's numeric
+server processes over *one* physical copy of the served generation's numeric
 state:
 
 - :mod:`repro.serving.shared` — :class:`~repro.serving.shared.SharedModelArena`

@@ -1,6 +1,6 @@
 """Zero-copy model publication over ``multiprocessing.shared_memory``.
 
-The frozen model's scoring state is pure numeric arrays — int64 CSR
+A served generation's scoring state is pure numeric arrays — int64 CSR
 index arrays and the co-occurrence index — which is exactly the
 kind of state POSIX shared memory serves well.  The multi-worker parent
 builds the :class:`~repro.core.vectorized.BatchRecommender` once, packs

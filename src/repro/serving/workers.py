@@ -3,7 +3,7 @@
 One parent process owns the listen strategy, the shared-memory model
 arena and the *serialization* of hot mutations; N forked children each
 run a full single-process :class:`~repro.service.RecommenderService`
-against a zero-copy reconstruction of the same frozen model.
+against a zero-copy reconstruction of the same CSR engine.
 
 Listen strategy
     With an explicit ``--port`` and ``SO_REUSEPORT`` available, every
@@ -27,10 +27,12 @@ Mutation protocol
     implementation ids and reaches the same generation.
 
 Generation 0
-    Each worker serves the parent's loaded model itself: its engine is
-    rebuilt zero-copy from the arena and bound to that model, and the
-    worker's log (forked from the parent's) lists the same
-    implementations under the same ids, so no worker re-indexes.
+    The parent builds generation 0's engine once, from its mutation log
+    (:func:`~repro.core.caching.build_served_view`), and packs its arrays
+    into the arena.  Each worker inherits the engine's label tables
+    through fork and rebuilds the engine zero-copy over the arena; its
+    log (forked from the parent's) lists the same implementations under
+    the same ids, so no worker indexes anything before its first read.
 
 Lifecycle
     SIGTERM/SIGINT on the parent fans a ``drain`` command out to every
@@ -60,7 +62,7 @@ from typing import Any
 
 from repro import obs
 from repro.core.incremental import IncrementalGoalModel
-from repro.core.model import AssociationGoalModel
+from repro.core.model import LabelTables
 from repro.exceptions import ModelError
 from repro.resilience import active_injector, install_faults
 from repro.serving.shared import SharedModelArena
@@ -148,7 +150,7 @@ class _WorkerConfig:
     host: str
     port: int
     log: IncrementalGoalModel
-    frozen: AssociationGoalModel | None
+    labels: LabelTables | None
     arena: SharedModelArena | None
     initial_generation: int
     listen_socket: socket.socket | None
@@ -302,11 +304,11 @@ def _worker_main(config: _WorkerConfig) -> int:
         config.arena.mark_inherited()
 
     engine = None
-    if config.arena is not None and config.frozen is not None:
+    if config.arena is not None and config.labels is not None:
         from repro.core.vectorized import BatchRecommender
 
         engine = BatchRecommender.from_arrays(
-            config.frozen, config.arena.views()
+            config.labels, config.arena.views()
         )
 
     kwargs = dict(config.service_kwargs)
@@ -319,8 +321,7 @@ def _worker_main(config: _WorkerConfig) -> int:
 
     from repro.service import RecommenderService
 
-    # With an engine, generation 0 serves ``engine.model`` (config.frozen)
-    # and does not freeze the log.
+    # With an engine, generation 0 serves it and builds nothing.
     service = RecommenderService(
         config.log,
         host=config.host,
@@ -386,7 +387,7 @@ class WorkerSupervisor:
         self,
         *,
         log: IncrementalGoalModel,
-        frozen: AssociationGoalModel | None,
+        labels: LabelTables | None,
         arena: SharedModelArena | None,
         host: str,
         port: int,
@@ -398,7 +399,7 @@ class WorkerSupervisor:
     ) -> None:
         self._lock = make_lock("WorkerSupervisor._lock")
         self._log = log
-        self._frozen = frozen
+        self._labels = labels
         self._arena = arena
         self._host = host
         self._port = port
@@ -428,9 +429,9 @@ class WorkerSupervisor:
             host=self._host,
             port=self._port,
             log=self._log,
-            frozen=self._frozen,
-            # The arena describes the *initial* frozen arrays; once a
-            # mutation landed, a respawned worker must refreeze instead.
+            labels=self._labels,
+            # The arena describes the *initial* engine's arrays; once a
+            # mutation landed, a respawned worker builds from its log.
             arena=self._arena if self._mutations == 0 else None,
             initial_generation=self._generation,
             listen_socket=self._listener,
@@ -673,28 +674,30 @@ def _build_parent_listener(host: str, port: int) -> socket.socket:
 
 
 def _build_arena(
-    frozen: AssociationGoalModel,
-) -> tuple[SharedModelArena | None, AssociationGoalModel | None]:
-    """Pack the frozen model's CSR engine into shared memory.
+    log: IncrementalGoalModel,
+) -> tuple[SharedModelArena | None, LabelTables | None]:
+    """Build generation 0's CSR engine from ``log`` and pack it into
+    shared memory.
 
-    Returns ``(None, None)`` for an empty model — there is no engine to
-    share, and workers build their own once implementations arrive.
+    Returns the arena and the engine's label tables, which the workers
+    inherit through fork; ``(None, None)`` for an empty log — there is no
+    engine to share, and workers build their own once implementations
+    arrive.
     """
-    if frozen.num_implementations == 0:
+    if log.num_implementations == 0:
         return None, None
-    from repro.core.vectorized import BatchRecommender
+    from repro.core.caching import build_served_view
 
-    engine = BatchRecommender(frozen)
-    arena = SharedModelArena(engine.export_arrays())
-    return arena, frozen
+    engine = build_served_view(log).csr_engine()
+    return SharedModelArena(engine.export_arrays()), engine.labels
 
 
 def run_worker_pool(
-    model: AssociationGoalModel,
+    log: IncrementalGoalModel,
     args: argparse.Namespace,
     block: bool = True,
 ) -> int:
-    """Serve ``model`` with ``args.workers`` pre-forked processes.
+    """Serve ``log`` with ``args.workers`` pre-forked processes.
 
     The multi-worker counterpart of ``repro.cli._cmd_serve``'s
     single-process path; returns a process exit code.
@@ -712,12 +715,11 @@ def run_worker_pool(
     if port == 0 or not hasattr(socket, "SO_REUSEPORT"):
         listener = _build_parent_listener(host, port)
 
-    log = IncrementalGoalModel.from_library(model.to_library())
-    arena, frozen = _build_arena(model)
+    arena, labels = _build_arena(log)
 
     supervisor = WorkerSupervisor(
         log=log,
-        frozen=frozen,
+        labels=labels,
         arena=arena,
         host=host,
         port=port,
@@ -759,7 +761,7 @@ def run_worker_pool(
             supervisor.shutdown()
             return 1
         print(
-            f"serving {model.num_implementations} implementations on "
+            f"serving {log.num_implementations} implementations on "
             f"http://{host}:{supervisor.port} "
             f"({workers} workers; endpoints: /health /metrics /model "
             "/recommend /recommend/batch /spaces /explain /goals "

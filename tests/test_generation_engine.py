@@ -161,7 +161,7 @@ class TestServedGeneration:
         assert snap.generation == 1
         assert snap.engine is builds[-1]
         assert snap.engine is not before
-        assert snap.engine.model is snap.frozen
+        assert snap.view.csr_engine() is snap.engine
 
         calls.clear()
         read_every_route(service, ["leek", "carrots"])
@@ -238,4 +238,4 @@ class TestInitialEngine:
             [("leek soup", ["leek", "potatoes"])]
         )
         assert snap.engine is not given
-        assert snap.engine.model is snap.frozen
+        assert snap.view.csr_engine() is snap.engine

@@ -1,22 +1,29 @@
-"""Generation 0 serves the model the caller already indexed.
+"""The serving layer builds every generation from the mutation log.
 
-A single-process ``RecommenderService(model)`` serves ``model`` itself and
-a pool worker serves the model its shared-memory engine is bound to;
-neither re-indexes the library before its first read.  Builds are counted
-through ``repro_model_build_seconds``, which every
-``AssociationGoalModel.from_library`` call records while metrics are on.
+Generation 0 and every hot mutation intern the log's live implementations
+straight into the generation's CSR engine
+(:func:`~repro.core.caching.build_served_view`); a pool worker rebuilds
+the parent's engine zero-copy from the arena.  None of them constructs an
+:class:`~repro.core.model.AssociationGoalModel`, which stays the
+reference oracle.  ``AssociationGoalModel.__init__`` is spied on directly,
+and ``repro_model_build_seconds`` (recorded by every
+``AssociationGoalModel.from_library`` while metrics are on) must not move.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
+import urllib.request
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.core import AssociationGoalModel, IncrementalGoalModel
+from repro.core.caching import CachedModelView, build_served_view
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ModelManager, RecommenderService
 from repro.serving import workers
@@ -38,6 +45,20 @@ def registry():
     obs.set_registry(previous)
 
 
+@pytest.fixture
+def model_inits(monkeypatch):
+    """Every ``AssociationGoalModel.__init__`` call from here on."""
+    calls: list[AssociationGoalModel] = []
+    original = AssociationGoalModel.__init__
+
+    def spying_init(self, *args, **kwargs):
+        calls.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AssociationGoalModel, "__init__", spying_init)
+    return calls
+
+
 def model_builds(registry: MetricsRegistry) -> int:
     family = registry.snapshot().get("repro_model_build_seconds")
     if family is None:
@@ -45,76 +66,110 @@ def model_builds(registry: MetricsRegistry) -> int:
     return sum(sample["count"] for sample in family["samples"].values())
 
 
+def log_of(pairs) -> IncrementalGoalModel:
+    log = IncrementalGoalModel()
+    for goal, actions in pairs:
+        log.add_implementation(goal, actions)
+    return log
+
+
+def call(service, path, payload=None, method="POST"):
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{service.port}{path}",
+        data=None if payload is None else json.dumps(payload).encode(),
+        method=method,
+    )
+    with urllib.request.urlopen(request, timeout=5) as response:
+        return response.status, json.loads(response.read())
+
+
 class TestSingleProcess:
-    def test_service_construction_builds_no_model(self, registry):
-        model = AssociationGoalModel.from_pairs(PAIRS)
-        assert model_builds(registry) == 1  # the caller's own build
-        service = RecommenderService(model, port=0, history_enabled=False)
+    def test_service_construction_builds_no_model(self, registry, model_inits):
+        service = RecommenderService(log_of(PAIRS), port=0, history_enabled=False)
         try:
-            assert model_builds(registry) == 1
-            assert service.model is model
-            assert service.manager.snapshot().engine.model is model
-            # A mutation freezes the log: exactly one more build.
+            assert model_inits == []
+            assert model_builds(registry) == 0
+            assert isinstance(service.model, CachedModelView)
+            assert service.model.csr_engine() is service.manager.snapshot().engine
+            # A mutation builds the next generation from the log alone.
             service.manager.add_implementations([("leek soup", ["leek"])])
-            assert model_builds(registry) == 2
-            assert service.model is not model
+            assert model_inits == []
+            assert service.model.num_implementations == len(PAIRS) + 1
+        finally:
+            service.stop()
+
+    def test_put_and_delete_build_no_model(self, registry, model_inits):
+        service = RecommenderService(
+            log_of(PAIRS), port=0, history_enabled=False
+        ).start()
+        try:
+            status, body = call(service, "/model/implementations", {
+                "implementations": [{"goal": "leek soup", "actions": ["leek"]}],
+            }, method="PUT")
+            assert status == 200 and body["generation"] == 1
+            (pid,) = body["added"]
+            status, body = call(
+                service, f"/model/implementations/{pid}", method="DELETE"
+            )
+            assert status == 200 and body["generation"] == 2
+            status, health = call(service, "/health", method="GET")
+            assert status == 200 and health["implementations"] == len(PAIRS)
+            assert model_inits == []
+            assert model_builds(registry) == 0
         finally:
             service.stop()
 
     def test_generation_zero_keeps_the_models_ids(self):
         model = AssociationGoalModel.from_pairs(PAIRS)
         manager = ModelManager(model)
-        assert manager.snapshot().frozen is model
-        # Log ids are the served model's ids: removing id 1 drops exactly
-        # the implementation generation 0 served as 1.
+        view = manager.snapshot().view
+        # The log built from the model interns to the model's own ids.
+        assert view.labels.actions == model.labels.actions
+        assert view.labels.goals == model.labels.goals
+        for pid in range(model.num_implementations):
+            assert view.implementation(pid) == model.implementation(pid)
+        # Log ids are the served ids: removing id 1 drops exactly the
+        # implementation generation 0 served as 1.
         doomed = model.implementation(1)
         snap = manager.remove_implementation(1)
         remaining = {
             (impl.goal, impl.actions)
-            for impl in snap.frozen.to_library()
+            for impl in map(snap.view.implementation, range(len(PAIRS) - 1))
         }
         assert (doomed.goal, doomed.actions) not in remaining
         assert len(remaining) == len(PAIRS) - 1
 
-    def test_model_with_duplicate_implementations_is_frozen(self, registry):
+    def test_model_with_duplicate_implementations_is_frozen(
+        self, registry, model_inits
+    ):
         # Built directly, a model may index the same implementation twice;
-        # the log deduplicates it, so the counts differ and generation 0
-        # freezes the log instead of serving ids the log does not have.
+        # the log deduplicates it, and generation 0 is indexed from the
+        # log, so it serves the log's one implementation under its id.
         model = AssociationGoalModel(
             actions=["a", "b"],
             goals=["g"],
             impl_actions=[frozenset({0, 1}), frozenset({0, 1})],
             impl_goal=[0, 0],
         )
-        manager = ModelManager(model)
-        frozen = manager.snapshot().frozen
-        assert frozen is not model
-        assert frozen.num_implementations == 1
-        assert manager.snapshot().engine.model is frozen
-        assert model_builds(registry) == 1
-
-    def test_log_with_mismatched_engine_is_frozen(self):
-        from repro.core.vectorized import BatchRecommender
-
-        engine = BatchRecommender(AssociationGoalModel.from_pairs(PAIRS))
-        log = IncrementalGoalModel()
-        log.add_implementation("other", ["x", "y"])
-        snap = ModelManager(log, engine=engine).snapshot()
-        assert snap.frozen is not engine.model
-        assert snap.engine is not engine
-        assert snap.engine.model is snap.frozen
+        model_inits.clear()
+        view = ModelManager(model).snapshot().view
+        assert view.num_implementations == 1
+        assert view.implementation(0).actions == frozenset({"a", "b"})
+        assert model_inits == []
+        assert model_builds(registry) == 0
 
 
 class TestWorkerBootstrap:
     def test_worker_generation_zero_serves_the_arena_model(
-        self, registry, monkeypatch
+        self, registry, model_inits, monkeypatch
     ):
         """``_worker_main`` run in-process: the worker serves the parent's
-        model through the arena engine and indexes nothing itself."""
-        model = AssociationGoalModel.from_pairs(PAIRS)
-        arena, frozen = workers._build_arena(model)
-        assert arena is not None and frozen is model
-        builds_before = model_builds(registry)
+        engine, rebuilt over the arena with the parent's label tables, and
+        indexes nothing itself."""
+        log = log_of(PAIRS)
+        arena, labels = workers._build_arena(log)
+        assert arena is not None and labels is not None
+        built = build_served_view(log).csr_engine().export_arrays()
         captured: list[RecommenderService] = []
 
         class CapturingService(RecommenderService):
@@ -134,8 +189,8 @@ class TestWorkerBootstrap:
             conn=child_conn,
             host="127.0.0.1",
             port=0,
-            log=IncrementalGoalModel.from_library(model.to_library()),
-            frozen=frozen,
+            log=log,
+            labels=labels,
             arena=arena,
             initial_generation=0,
             listen_socket=None,
@@ -149,15 +204,21 @@ class TestWorkerBootstrap:
         }
         try:
             assert workers._worker_main(config) == 0
+            (service,) = captured
+            snap = service.manager.snapshot()
+            assert snap.generation == 0
+            assert snap.engine.labels is labels
+            served = snap.engine.export_arrays()
+            assert served.keys() == built.keys()
+            for name, array in built.items():
+                assert served[name].dtype == array.dtype
+                assert np.array_equal(served[name], array)
+            assert model_inits == []
+            assert model_builds(registry) == 0
+            service.stop()
+            del snap, served
         finally:
             for sig, handler in handlers.items():
                 signal.signal(sig, handler)
             arena._shm.unlink()  # the worker marked its copy inherited
             parent_conn.close()
-        (service,) = captured
-        snap = service.manager.snapshot()
-        assert snap.generation == 0
-        assert snap.frozen is snap.engine.model
-        assert snap.frozen is model
-        assert model_builds(registry) == builds_before
-        service.stop()

@@ -335,6 +335,26 @@ class TestEmptyModelLifecycle:
         assert body["recommendations"] == []
 
 
+    def test_bad_goal_scorer_400_regardless_of_model_state(self, service):
+        payloads = [
+            {"activity": ["potatoes"], "scorer": "bogus"},
+            {"activity": ["potatoes"], "scorer": 5},
+        ]
+        for payload in payloads:
+            status, body = call(service, "/goals", payload)
+            assert status == 400
+        for pid in range(3):
+            call(service, f"/model/implementations/{pid}", method="DELETE")
+        # The empty-model short-circuit must validate the same way.
+        for payload in payloads:
+            status, body = call(service, "/goals", payload)
+            assert status == 400
+            assert body["detail"] == "body key 'scorer'"
+        status, body = call(service, "/goals", {"activity": ["potatoes"]})
+        assert status == 200
+        assert body == {"scorer": "coverage", "goals": []}
+
+
 class TestStaleSnapshotIsolation:
     def test_late_store_from_old_generation_cannot_poison_new(self, service):
         """An in-flight request of a retired snapshot must stay invisible.
