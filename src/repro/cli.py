@@ -203,8 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-trace-detail", action="store_true",
-        help="skip the per-request space-size span attributes "
-             "(cheaper traced requests)",
+        help="skip the per-request space-size span attributes and the "
+             "Server-Timing response header (cheaper traced requests)",
     )
     serve.add_argument(
         "--slow-threshold", type=float, default=0.1, metavar="SECONDS",

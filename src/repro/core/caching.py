@@ -390,12 +390,12 @@ class CachedModelView:
 
     # -- space queries -------------------------------------------------
 
-    def _space(self, stage: str, index: int, activity: frozenset[int]) -> set[int]:
+    def _space(self, name: str, index: int, activity: frozenset[int]) -> set[int]:
         """One of the engine's ``(IS, GS, AS)`` arrays as a set, under its
-        stage span when tracing is on."""
+        span when tracing is on."""
         if not obs.tracing_enabled():
             return set(self._engine.spaces(activity)[index].tolist())
-        with obs.trace_span(stage) as span:
+        with obs.trace_span(name) as span:
             space = set(self._engine.spaces(activity)[index].tolist())
             span.set_attrs(size=len(space))
         return space

@@ -415,10 +415,8 @@ class AssociationGoalModel:
             _count_space_query("goal")
         if not obs.tracing_enabled():
             return self._goal_space_ids(activity)
-        # The stage span contains the nested implementation_space span:
-        # GS(H) is defined over IS(H), so its stage time includes the
-        # subquery (the stage profiler keeps nested *same-name* spans from
-        # double counting; distinct stages report their inclusive time).
+        # The span contains the nested implementation_space span: GS(H)
+        # is defined over IS(H), so its time includes the subquery.
         with obs.trace_span("goal_space") as span:
             space = self._goal_space_ids(activity)
             span.set_attrs(activity_size=len(activity), size=len(space))

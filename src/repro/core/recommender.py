@@ -28,7 +28,7 @@ from repro.core.entities import ActionLabel, GoalLabel, RecommendationList
 from repro.core.protocols import ModelView, engine_of
 from repro.core.strategies import RankingStrategy, create_strategy
 from repro.core.strategies.base import require_request_count
-from repro.resilience.deadlines import active_deadline
+from repro.resilience.deadlines import enter_stage
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
     from repro.core.vectorized import BatchRecommender
@@ -168,12 +168,7 @@ class GoalRecommender:
         name = strategy or self.default_strategy
         chosen = self.strategy(name, **options)
         runner = self._runner(name, chosen, options)
-        deadline = active_deadline()
-        if deadline is not None:
-            # The stage an expired request stops before: the space
-            # pipeline that ranking starts with, then the ranking itself.
-            deadline.check("implementation_space")
-            deadline.check("rank")
+        enter_stage("rank")
         if not obs.is_enabled():
             result = runner.recommend(self.model, encoded, k)
         else:
@@ -255,7 +250,7 @@ class GoalRecommender:
         engine call (:meth:`~repro.core.vectorized.BatchRecommender.space_sizes`,
         about 0.2 ms at dense scale) and no space query runs.  Without
         one (``use_csr=False``, bare models) the scalar space queries
-        answer, emitting their stage spans.  Both give the same numbers.
+        answer, emitting their space spans.  Both give the same numbers.
         """
         if self._engine is not None:
             return self._engine.space_sizes(encoded)

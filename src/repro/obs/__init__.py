@@ -11,8 +11,9 @@ about itself:
   counts, exportable as a JSON span tree;
 - :mod:`repro.obs.logs` — structured JSON logging with a process run-id
   and per-request ids;
-- :mod:`repro.obs.profiling` — the :class:`StageProfiler` per-stage latency
-  breakdown (p50/p95/p99 over the IS/GS/AS/rank pipeline stages), the
+- :mod:`repro.obs.profiling` — the :data:`STAGES` a served request passes
+  through and the :class:`StageProfiler` per-stage latency breakdown
+  (p50/p95/p99 from each request's stage marks), the
   :class:`SlowRequestLog` behind ``GET /debug/slow``, and guarded on-demand
   :class:`ProfileSession` cProfile captures;
 - :mod:`repro.obs.quality` — online recommendation-quality accounting:

@@ -7,7 +7,7 @@ for drift and SLO burn rates — and renders one compact frame per
 interval:
 
 - request rate (RPS) with a sparkline over the history window;
-- p50/p95/p99 per pipeline stage (IS/GS/AS/rank);
+- p95 per request stage (:data:`repro.obs.STAGES`);
 - HTTP p95 sparkline derived from the request-latency histogram history;
 - cache hit ratio, shed and deadline-exceeded totals;
 - drift score/alert state and the SLO burn rates.
@@ -31,20 +31,13 @@ import urllib.error
 import urllib.request
 from collections.abc import Callable
 
+from repro.obs.profiling import STAGES
+
 #: Sparkline glyphs, lowest to highest.
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 #: ANSI: clear screen + home cursor, used between live frames.
 _CLEAR = "\x1b[2J\x1b[H"
-
-#: The pipeline stages rendered in order (``obs.STAGES``) with the short
-#: labels the paper uses for the spaces (|IS|, |GS|, |AS|).
-_STAGE_ORDER = (
-    ("implementation_space", "is"),
-    ("goal_space", "gs"),
-    ("action_space", "as"),
-    ("rank", "rank"),
-)
 
 
 def sparkline(values: list[float | None], width: int = 32) -> str:
@@ -286,11 +279,11 @@ def render_frame(snapshot: dict[str, object], width: int = 32) -> str:
     stages = snapshot.get("stages")
     if isinstance(stages, dict) and stages:
         parts = []
-        for stage, label in _STAGE_ORDER:
+        for stage in STAGES:
             breakdown = stages.get(stage)
             if isinstance(breakdown, dict):
                 parts.append(
-                    f"{label} "
+                    f"{stage} "
                     f"{_fmt(breakdown.get('p95_seconds'), 'ms', 1000.0, 2)}"
                 )
         if parts:

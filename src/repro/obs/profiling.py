@@ -1,25 +1,20 @@
-"""Per-stage deterministic profiling, slow-request capture, cProfile sessions.
+"""Per-stage request profiling, slow-request capture, cProfile sessions.
 
-The paper's pipeline is a chain of discrete stages — build ``IS(H)``, then
-``GS(H)`` and ``AS(H)``, then rank (§4–5) — and each stage is already
-wrapped in a span by the core instrumentation.  This module turns those
-spans into answers to "where does time go inside a request":
+A served request opens its stage marks with :func:`request_marks` and
+enters each of its :data:`STAGES` with :func:`mark_stage` (or with
+:func:`~repro.resilience.deadlines.enter_stage`, which also checks its
+deadline).  This module turns the marks into answers to "where does time
+go inside a request":
 
-- :class:`StageProfiler` — a tracer *sink* that walks every finished root
-  span tree, extracts the stage spans (``implementation_space``,
-  ``goal_space``, ``action_space``, ``rank``) and aggregates per-stage
-  latency into bounded reservoirs with p50/p95/p99.  Deterministic
-  (instrumentation-based), not sampling: every traced request contributes.
+- :func:`stage_durations` — one request's marks as per-stage nanoseconds,
+  and :func:`server_timing` — the ended stages as a ``Server-Timing`` value;
+- :class:`StageProfiler` — aggregates those durations into bounded
+  per-stage reservoirs with p50/p95/p99;
 - :class:`SlowRequestLog` — keeps the N slowest requests above a threshold,
-  each with its full span tree, for ``GET /debug/slow``.
+  each with its full span tree, for ``GET /debug/slow``;
 - :class:`ProfileSession` — a guarded on-demand :mod:`cProfile` wrapper
   start/stoppable from the CLI (``repro --profile``) and the service
   (``POST``/``DELETE /debug/profile``), rendering :mod:`pstats` text.
-
-The stage profiler double-counts nothing: a model view that delegates to
-another model yields *nested* same-name stage spans (the outer view's
-span around the inner model's); the tree walk attributes time to the
-outermost occurrence of each stage name only.
 """
 
 from __future__ import annotations
@@ -29,31 +24,79 @@ import heapq
 import io
 import pstats
 import threading
+import time
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import ParamSpec, TypeVar
 
 from repro.obs import runtime
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import Span
 from repro.utils.timing import quantile
 
 P = ParamSpec("P")
 T = TypeVar("T")
 
-#: The pipeline stages a recommend request decomposes into, in paper order.
-STAGES: tuple[str, ...] = (
-    "implementation_space",
-    "goal_space",
-    "action_space",
-    "rank",
-)
+#: The stages a served request passes through, in order; a request skips
+#: those its route does not run (see docs/profiling.md).  The ``stage``
+#: label of ``repro_stage_latency_seconds``, ``repro_profiler_samples`` and
+#: ``repro_deadline_exceeded_total``.
+STAGES: tuple[str, ...] = ("parse", "admission", "decode", "cache", "rank", "encode", "write")
 
 _STAGE_SET = frozenset(STAGES)
 
+#: One request's stage marks, ``(stage, perf_counter_ns())``.
+StageMarks = list[tuple[str, int]]
+
+_MARKS: ContextVar[StageMarks | None] = ContextVar("repro_obs_stage_marks", default=None)
+
+
+@contextmanager
+def request_marks(stage: str, start_ns: int) -> Iterator[StageMarks]:
+    """Open one served request's marks, starting in ``stage`` at
+    ``start_ns``; :func:`mark_stage` appends to them until the block ends."""
+    marks = [(stage, start_ns)]
+    token = _MARKS.set(marks)
+    try:
+        yield marks
+    finally:
+        _MARKS.reset(token)
+
+
+def mark_stage(stage: str) -> None:
+    """Enter ``stage`` on the request being served: a no-op outside one,
+    and re-entering the current stage adds no mark."""
+    marks = _MARKS.get()
+    if marks is not None and marks[-1][0] != stage:
+        marks.append((stage, time.perf_counter_ns()))
+
+
+def stage_durations(marks: StageMarks, end_ns: int) -> dict[str, int]:
+    """Per-stage nanoseconds of one request: each stage lasts from its mark
+    to the next one, the last to ``end_ns``, and a stage entered twice sums
+    both intervals, so the durations add up to ``end_ns - marks[0][1]``."""
+    durations: dict[str, int] = {}
+    for index, (stage, start) in enumerate(marks):
+        stop = marks[index + 1][1] if index + 1 < len(marks) else end_ns
+        durations[stage] = durations.get(stage, 0) + stop - start
+    return durations
+
+
+def server_timing() -> str | None:
+    """The W3C ``Server-Timing`` value of the request being served: every
+    stage that ended before the current one, with its duration in ms;
+    ``None`` outside a served request."""
+    marks = _MARKS.get()
+    if marks is None:
+        return None
+    ended = stage_durations(marks[:-1], marks[-1][1])
+    return ", ".join(f"{stage};dur={ns / 1e6:.3f}" for stage, ns in ended.items())
+
+
 #: Lock discipline, machine-checked by ``repro-lint`` (rule RL001, see
-#: docs/static-analysis.md): profiler state is written from tracer sinks on
-#: handler threads and read from debug endpoints.
+#: docs/static-analysis.md): profiler state is written from handler threads
+#: as requests finish and read from debug endpoints.
 _GUARDED_BY = {
     "StageProfiler._samples": "_lock",
     "StageProfiler._counts": "_lock",
@@ -66,18 +109,18 @@ _GUARDED_BY = {
 
 
 class StageProfiler:
-    """Aggregates stage-span durations into per-stage latency breakdowns.
+    """Aggregates served requests' stage durations into per-stage breakdowns.
 
-    Install on a tracer with ``tracer.add_sink(profiler.observe_span)``;
-    every finished root span tree is walked once.  Per stage it keeps the
-    total count, total seconds, and a bounded reservoir of the most recent
-    ``max_samples`` durations from which the percentiles are computed —
-    recent-window percentiles, matching what a dashboard wants.
+    The service passes every finished request's :func:`stage_durations`
+    to :meth:`observe_span`.  Per stage it keeps the count of requests
+    that entered it, the total seconds, and a bounded reservoir of the
+    most recent ``max_samples`` durations from which the percentiles are
+    computed — recent-window percentiles, matching what a dashboard wants.
 
     When metrics are enabled each observation also feeds the
     ``repro_stage_latency_seconds{stage=...}`` histogram and refreshes the
-    ``repro_profiler_samples{stage=...}`` gauge, so the breakdown is
-    scrapeable as well as introspectable.
+    ``repro_profiler_samples{stage=...}`` gauge of the stages the request
+    entered, so the breakdown is scrapeable as well as introspectable.
     """
 
     def __init__(self, max_samples: int = 2048) -> None:
@@ -91,56 +134,34 @@ class StageProfiler:
         self._counts: dict[str, int] = {stage: 0 for stage in STAGES}
         self._totals: dict[str, float] = {stage: 0.0 for stage in STAGES}
 
-    def observe_span(self, root: Span) -> None:
-        """Tracer-sink entry point: harvest stage durations from one tree."""
-        found: list[tuple[str, float]] = []
-        self._harvest(root, set(), found)
-        if not found:
-            return
-        record_metrics = runtime.metrics_enabled()
-        registry = get_registry() if record_metrics else None
+    def observe_span(self, durations: Mapping[str, int]) -> None:
+        """Record one request's per-stage nanoseconds (see
+        :func:`stage_durations`); every key must be one of :data:`STAGES`."""
+        if not durations.keys() <= _STAGE_SET:
+            unknown = sorted(durations.keys() - _STAGE_SET)
+            raise ValueError(f"unknown stage {unknown}; expected one of {STAGES}")
+        found = [(stage, ns / 1e9) for stage, ns in durations.items()]
         with self._lock:
             for stage, seconds in found:
                 self._samples[stage].append(seconds)
                 self._counts[stage] += 1
                 self._totals[stage] += seconds
-        if registry is not None:
-            for stage, seconds in found:
-                registry.histogram(
-                    "repro_stage_latency_seconds",
-                    "Latency of one pipeline stage, harvested from spans.",
-                    stage=stage,
-                ).observe(seconds)
-            with self._lock:
-                sizes = {stage: len(self._samples[stage]) for stage in STAGES}
-            for stage, size in sizes.items():
-                registry.gauge(
-                    "repro_profiler_samples",
-                    "Stage-profiler reservoir occupancy.",
-                    stage=stage,
-                ).set(size)
-
-    def _harvest(
-        self,
-        span: Span,
-        active: set[str],
-        found: list[tuple[str, float]],
-    ) -> None:
-        is_stage = span.name in _STAGE_SET and span.name not in active
-        if is_stage and span.duration is not None:
-            found.append((span.name, span.duration))
-            active = active | {span.name}
-        for child in span.children:
-            self._harvest(child, active, found)
-
-    def record(self, stage: str, seconds: float) -> None:
-        """Record one stage duration directly (no span tree needed)."""
-        if stage not in _STAGE_SET:
-            raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-        with self._lock:
-            self._samples[stage].append(seconds)
-            self._counts[stage] += 1
-            self._totals[stage] += seconds
+            sizes = [len(self._samples[stage]) for stage, _ in found]
+        if not runtime.metrics_enabled():
+            return
+        registry = get_registry()
+        for (stage, seconds), size in zip(found, sizes):
+            registry.histogram(
+                "repro_stage_latency_seconds",
+                "Time a served request spent in one stage, from its stage "
+                "marks.",
+                stage=stage,
+            ).observe(seconds)
+            registry.gauge(
+                "repro_profiler_samples",
+                "Stage-profiler reservoir occupancy.",
+                stage=stage,
+            ).set(size)
 
     def breakdown(self) -> dict[str, dict[str, float | int]]:
         """Per-stage summary: count, total/mean seconds, p50/p95/p99.

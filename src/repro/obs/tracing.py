@@ -21,11 +21,10 @@ tracing is disabled (:mod:`repro.obs.runtime`) it yields the shared
 allocation.  Parenting uses a :class:`~contextvars.ContextVar`, so spans
 nest correctly across the HTTP service's handler threads.
 
-Consumers that want every finished root span — the stage profiler, the
-service's slow-request log — register a *sink* (:meth:`Tracer.add_sink`)
-instead of polling :meth:`Tracer.spans`: sinks see each root exactly once,
-including roots that the bounded buffer has already evicted by the time a
-poller would run.
+The HTTP service keeps each request's root span on its request record,
+so the slow-request log and the flight recorder read the tree without
+polling :meth:`Tracer.spans`; the per-stage breakdown comes from the
+request's stage marks, not from spans (:mod:`repro.obs.profiling`).
 """
 
 from __future__ import annotations
@@ -36,16 +35,14 @@ import time
 from collections import deque
 from contextvars import ContextVar
 from types import TracebackType
-from typing import Callable
 
 from repro.obs import runtime
 
 #: Lock discipline, machine-checked by ``repro-lint`` (rule RL001, see
-#: docs/static-analysis.md): the bounded root-span deque and the sink list
-#: are shared across handler threads.
+#: docs/static-analysis.md): the bounded root-span deque is shared across
+#: handler threads.
 _GUARDED_BY = {
     "Tracer._roots": "_lock",
-    "Tracer._sinks": "_lock",
     "Tracer._dropped": "_lock",
 }
 
@@ -186,7 +183,6 @@ class Tracer:
     def __init__(self, max_spans: int = 1024) -> None:
         self._lock = threading.Lock()
         self._roots: deque[Span] = deque(maxlen=max_spans)
-        self._sinks: list[Callable[[Span], None]] = []
         self._dropped = 0
         self.capacity = max_spans
 
@@ -195,34 +191,13 @@ class Tracer:
         return _SpanGuard(self, Span(name, attributes))
 
     def _finish_root(self, span: Span) -> None:
-        """Buffer a finished root span and fan it out to the sinks."""
+        """Buffer a finished root span."""
         with self._lock:
             # A full deque evicts its oldest root silently; count the
             # eviction so /debug/vars can report the shed history.
             if len(self._roots) == self.capacity:
                 self._dropped += 1
             self._roots.append(span)
-            sinks = list(self._sinks)
-        # Sinks run outside the lock: a sink that re-enters the tracer (or
-        # just takes time) must not stall other handler threads finishing
-        # their roots.
-        for sink in sinks:
-            try:
-                sink(span)
-            except Exception:  # noqa: BLE001 - sinks must not break tracing
-                pass
-
-    def add_sink(self, sink: Callable[[Span], None]) -> None:
-        """Register a callable invoked with every finished root span."""
-        with self._lock:
-            if sink not in self._sinks:
-                self._sinks.append(sink)
-
-    def remove_sink(self, sink: Callable[[Span], None]) -> None:
-        """Unregister a sink; unknown sinks are ignored."""
-        with self._lock:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
 
     def occupancy(self) -> int:
         """Number of root spans currently buffered (≤ :attr:`capacity`)."""

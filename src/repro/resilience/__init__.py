@@ -7,10 +7,10 @@ stop kills whatever was in flight).  This package provides the standard
 countermeasures as small, dependency-free building blocks:
 
 - :mod:`repro.resilience.deadlines` — per-request deadlines propagated via
-  :class:`contextvars.ContextVar` and checked between the pipeline stages
-  (``IS -> GS -> AS -> rank``, paper §4-5) so an expired request stops
-  burning CPU at the next stage boundary instead of finishing a ranking
-  nobody is waiting for;
+  :class:`contextvars.ContextVar` and checked as a served request enters
+  each stage up to ``rank`` (:data:`repro.obs.STAGES`) so an expired request
+  stops burning CPU at the next stage boundary instead of finishing a
+  ranking nobody is waiting for;
 - :mod:`repro.resilience.admission` — a bounded in-flight/queue admission
   controller: excess requests are *shed* with a clear signal (HTTP 429 +
   ``Retry-After``) instead of queueing until collapse (the tail-at-scale
@@ -34,12 +34,11 @@ deadline propagation, the drain sequence and the fault-spec format).
 
 from repro.resilience.admission import AdmissionController, record_shed
 from repro.resilience.deadlines import (
-    DEADLINE_STAGES,
     Deadline,
     DeadlineExceededError,
     active_deadline,
-    check_deadline,
     deadline_scope,
+    enter_stage,
     record_deadline_exceeded,
 )
 from repro.resilience.faults import (
@@ -59,12 +58,11 @@ from repro.resilience.retry import RetryPolicy, retry_call
 __all__ = [
     "AdmissionController",
     "record_shed",
-    "DEADLINE_STAGES",
     "Deadline",
     "DeadlineExceededError",
     "active_deadline",
-    "check_deadline",
     "deadline_scope",
+    "enter_stage",
     "record_deadline_exceeded",
     "FAULT_KINDS",
     "FAULT_SITES",

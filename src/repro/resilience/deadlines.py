@@ -1,4 +1,4 @@
-"""Per-request deadlines, propagated via ContextVar, checked between stages.
+"""Per-request deadlines, propagated via ContextVar, checked entering stages.
 
 A deadline is a point on the monotonic clock by which a request must have
 answered.  The HTTP layer creates one per request (from the
@@ -7,22 +7,23 @@ and installs it in a :class:`contextvars.ContextVar`, so every function on
 the request's call path — however deep — can ask "is it still worth
 continuing?" without threading a parameter through the recommender stack.
 
-Checkpoints sit at the natural seams of the paper's pipeline:
-
-- before the space pipeline and before ranking (``implementation_space``
-  then ``rank``) in :class:`~repro.core.recommender.GoalRecommender`;
-  ``goal_space`` and ``action_space`` stay in the label vocabulary below,
-  but no recommend path checks them;
-- before every activity of the batch path
-  (:meth:`~repro.core.vectorized.BatchRecommender.recommend_many`);
-- while waiting in the admission queue
-  (:class:`~repro.resilience.admission.AdmissionController`).
+The checkpoints are stage marks: :func:`enter_stage` marks a served
+request's entry into one of :data:`~repro.obs.profiling.STAGES` and checks
+the deadline in the same call, so a deadline can only expire at a stage
+the request runs.  The deadline is installed once the request is
+admitted; the checkpoints are ``admission`` (right after the admission
+wait), ``decode``, ``cache`` (``/recommend``'s snapshot and result
+lookup) and ``rank`` (in :class:`~repro.core.recommender.GoalRecommender`,
+and before every activity of ``/recommend/batch``).  ``encode`` and
+``write`` are only marked (:func:`~repro.obs.profiling.mark_stage`): by
+then the handler's work — a committed mutation included — is done, and
+answering it is cheaper than abandoning it.
 
 An expired checkpoint raises :class:`DeadlineExceededError` carrying the
 **stage reached**, which the HTTP layer maps to ``504`` (and records on the
-request span as ``deadline_stage``).  With no deadline installed every
-checkpoint is a single ``ContextVar.get() is None`` test — cheap enough to
-leave in the hot path unconditionally.
+request span as ``deadline_stage``).  With no deadline installed and no
+request served, every checkpoint is two ``ContextVar.get() is None`` tests
+— cheap enough to leave in the hot path unconditionally.
 
 Clocks are injectable (``Deadline(expires_at, clock=...)``) so tests can
 drive expiry deterministically instead of sleeping.
@@ -37,18 +38,7 @@ from collections.abc import Callable, Iterator
 
 from repro import obs
 from repro.exceptions import ReproError
-
-#: The bounded set of checkpoint names a deadline can expire at; used as
-#: the ``stage`` label of ``repro_deadline_exceeded_total`` (bounded label
-#: values keep the family's cardinality fixed).
-DEADLINE_STAGES: tuple[str, ...] = (
-    "admission",
-    "implementation_space",
-    "goal_space",
-    "action_space",
-    "rank",
-    "batch",
-)
+from repro.obs.profiling import STAGES, mark_stage
 
 _ACTIVE: ContextVar["Deadline | None"] = ContextVar(
     "repro_resilience_deadline", default=None
@@ -58,8 +48,8 @@ _ACTIVE: ContextVar["Deadline | None"] = ContextVar(
 class DeadlineExceededError(ReproError):
     """The request's deadline expired; ``stage`` names the checkpoint.
 
-    ``stage`` is one of :data:`DEADLINE_STAGES` — the pipeline stage the
-    request was *about to enter* when the deadline fired.  The HTTP layer
+    ``stage`` is one of :data:`~repro.obs.profiling.STAGES` — the stage
+    the request was *about to enter* when the deadline fired.  The HTTP layer
     maps this to ``504 {error, detail}`` with the stage in the detail.
     """
 
@@ -115,8 +105,13 @@ def active_deadline() -> Deadline | None:
     return _ACTIVE.get()
 
 
-def check_deadline(stage: str) -> None:
-    """Checkpoint: no-op without an active deadline, else :meth:`~Deadline.check`."""
+def enter_stage(stage: str) -> None:
+    """Enter ``stage``: mark it on the served request
+    (:func:`~repro.obs.profiling.mark_stage`), then raise
+    :class:`DeadlineExceededError` if the active deadline has expired.
+    Without a deadline there is nothing to check.
+    """
+    mark_stage(stage)
     deadline = _ACTIVE.get()
     if deadline is not None:
         deadline.check(stage)
@@ -142,6 +137,6 @@ def record_deadline_exceeded(stage: str) -> None:
         obs.get_registry().counter(
             "repro_deadline_exceeded_total",
             "Requests abandoned because their deadline expired, by the "
-            "pipeline stage reached.",
-            stage=stage if stage in DEADLINE_STAGES else "other",
+            "stage reached.",
+            stage=stage if stage in STAGES else "other",
         ).inc()

@@ -115,7 +115,11 @@ Conventions:
   ``http.request`` span, slow-log entries and flight-recorder records,
   and ``GET /debug/trace/<request-id>`` joins them back together.  Shed
   (429), drain (503) and error responses carry both headers — they all
-  flow through the same header path.
+  flow through the same header path;
+- while trace detail is on, every response also carries a W3C
+  ``Server-Timing`` header: the duration, in milliseconds, of each stage
+  (:data:`repro.obs.STAGES`) the request ended before its response was
+  written.
 
 Resilience (see ``docs/resilience.md``):
 
@@ -125,10 +129,10 @@ Resilience (see ``docs/resilience.md``):
   routes ``/health``, ``/metrics`` and ``/debug/*`` bypass admission so an
   overloaded server stays observable);
 - a request may carry ``X-Request-Deadline-Ms`` (or inherit
-  ``default_deadline_ms``); the deadline is checked entering every
-  pipeline stage and per chunk in the batch path, and an expired request
-  answers ``504`` naming the stage reached (also recorded on the request
-  span as ``deadline_stage``);
+  ``default_deadline_ms``); the deadline is checked as the request enters
+  each stage up to ``rank`` (:data:`repro.obs.STAGES`) and before every
+  activity of a batch, and an expired request answers ``504`` naming the
+  stage reached (also recorded on the request span as ``deadline_stage``);
 - :meth:`RecommenderService.drain` flips ``/health`` to ``draining``
   (work routes answer ``503`` + ``Retry-After``), stops accepting, closes
   idle kept-alive connections, waits for in-flight requests up to a
@@ -183,11 +187,12 @@ from repro.core.model import AssociationGoalModel
 from repro.core.recommender import GoalRecommender, PAPER_STRATEGIES
 from repro.core.strategies import create_strategy
 from repro.exceptions import ModelError, ReproError
+from repro.obs.profiling import mark_stage, request_marks, server_timing, stage_durations
 from repro.resilience import (
     Deadline,
     DeadlineExceededError,
-    active_deadline,
     deadline_scope,
+    enter_stage,
     record_deadline_exceeded,
     record_shed,
 )
@@ -342,7 +347,8 @@ class _ClientError(Exception):
 @dataclasses.dataclass(frozen=True, slots=True)
 class _RequestRecord:
     """The facts of one finished request, built once by
-    ``_Handler._dispatch`` and fanned out by ``RecommenderService._record``."""
+    ``_Handler._dispatch`` and fanned out by ``RecommenderService._record``;
+    ``end_ns`` is the end of the response write, on the ``marks``' clock."""
 
     request_id: str
     trace_id: str
@@ -352,6 +358,8 @@ class _RequestRecord:
     elapsed: float
     root: obs.Span | None
     deadline_stage: str | None
+    marks: list[tuple[str, int]]
+    end_ns: int
 
 
 _LOG = obs.get_logger("repro.service")
@@ -609,6 +617,7 @@ class ModelManager:
         strategy: str,
     ) -> tuple[RecommendationList, bool, int]:
         """One cached recommendation: ``(result, cache_hit, generation)``."""
+        enter_stage("cache")
         activity = list(activity)
         snap = self.snapshot()
         if snap.caching_recommender is None:
@@ -775,6 +784,7 @@ class _Handler(BaseHTTPRequestHandler):
         stream would not be a request line — or the service is draining
         or stopping.
         """
+        mark_stage("write")
         self._status = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -795,6 +805,9 @@ class _Handler(BaseHTTPRequestHandler):
             # Retry-After takes integer seconds; round up so "0.5s" does
             # not tell clients to retry immediately.
             self.send_header("Retry-After", str(max(1, int(retry_after + 0.999))))
+        timing = server_timing() if obs.trace_detail_enabled() else None
+        if timing is not None:
+            self.send_header("Server-Timing", timing)
         if (
             self._body_unread
             or self.service.is_draining()
@@ -805,6 +818,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.command != "HEAD":
             self._headers_buffer.append(body)
         self.flush_headers()
+        self._write_end_ns = time.perf_counter_ns()
 
     def _send_json(
         self,
@@ -813,6 +827,7 @@ class _Handler(BaseHTTPRequestHandler):
         allow: str | None = None,
         retry_after: float | None = None,
     ) -> None:
+        mark_stage("encode")
         self._send_headers(
             status, "application/json", json.dumps(payload).encode("utf-8"),
             allow, retry_after=retry_after,
@@ -835,9 +850,11 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
+        mark_stage("encode")
         self._send_headers(status, content_type, text.encode("utf-8"), None)
 
     def _read_json(self, max_bytes: int) -> dict:
+        enter_stage("decode")
         raw_length = self.headers.get("Content-Length", "0")
         try:
             length = int(raw_length)
@@ -957,7 +974,9 @@ class _Handler(BaseHTTPRequestHandler):
         without a ``do_*`` handler here: the stdlib would send its own
         HTML ``501`` with none of the service's headers.  ``False`` tells
         the stdlib the response is already sent.  A request that arrives
-        after drain or stop closed the connection is not answered."""
+        after drain or stop closed the connection is not answered.  The
+        request's ``parse`` stage starts here, once its request line is in."""
+        self._parse_ns = time.perf_counter_ns()
         if not self.server.mark(self.connection, idle=False):
             self.close_connection = True
             return False
@@ -969,8 +988,9 @@ class _Handler(BaseHTTPRequestHandler):
         return False
 
     def _dispatch(self, method: str) -> None:
-        """Serve one request with request id, trace context, span, error
-        envelope and one request record."""
+        """Serve one request with request id, trace context, stage marks,
+        span, error envelope and one request record."""
+        self._write_end_ns = 0
         path, _, query = self.path.partition("?")
         self._query = dict(
             part.split("=", 1) for part in query.split("&") if "=" in part
@@ -1006,7 +1026,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.service._publish_inflight(1)
         root: obs.Span | None = None
         with obs.request_context(self._request_id), \
-                obs.trace_context(self._trace_id):
+                obs.trace_context(self._trace_id), \
+                request_marks("parse", self._parse_ns) as marks:
             try:
                 with obs.trace_span(
                     "http.request", endpoint=endpoint, method=method,
@@ -1068,7 +1089,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self.service._record(_RequestRecord(
                     self._request_id, self._trace_id, endpoint, method,
                     self._status, time.perf_counter() - start, root,
-                    self._deadline_stage,
+                    self._deadline_stage, marks,
+                    self._write_end_ns or time.perf_counter_ns(),
                 ))
                 self.service._publish_inflight(-1)
 
@@ -1144,7 +1166,7 @@ class _Handler(BaseHTTPRequestHandler):
         Work routes are shed with ``503`` while draining and ``429`` once
         the admission controller is saturated (both with
         ``Retry-After``); admitted requests run under their deadline scope
-        so every pipeline checkpoint below can see it.
+        so every stage checkpoint below can see it.
         """
         service = self.service
         if service.is_draining():
@@ -1157,6 +1179,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         deadline = self._deadline_from_header()
+        mark_stage("admission")
         admitted, reason = service.admission.try_acquire(deadline)
         if not admitted:
             record_shed(reason or "saturated")
@@ -1169,8 +1192,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             with deadline_scope(deadline):
-                if deadline is not None:
-                    deadline.check("admission")
+                # A deadline spent waiting for the slot fails here, before
+                # the handler's work starts.
+                enter_stage("admission")
                 service.profile_session.profile_call(
                     self._run, route, handler, path
                 )
@@ -1382,16 +1406,12 @@ class _Handler(BaseHTTPRequestHandler):
         if batch is None:
             results: list[list[dict]] = [[] for _ in activities]
         else:
-            deadline = active_deadline()
-            checkpoint = None
-            if deadline is not None:
-                def checkpoint(_index: int, _d: Deadline = deadline) -> None:
-                    _d.check("batch")
             ranked = batch.recommend_many(
                 [frozenset(activity) for activity in activities],
                 k=k,
                 strategy=strategy,
-                checkpoint=checkpoint,
+                # Re-checks the deadline before every activity.
+                checkpoint=lambda _index: enter_stage("rank"),
             )
             results = [
                 [
@@ -1416,16 +1436,21 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_spaces(self, payload: dict) -> None:
         activity = self._activity_from(payload)
         snap = self.service.manager.snapshot()
-        if snap.recommender is None:
+        if snap.view is None or snap.engine is None:
             self._send_json(200, {"goal_space": [], "action_space": []})
             return
-        model = snap.recommender.model
+        _, goal_ids, action_ids = snap.engine.spaces(
+            snap.view.encode_activity(activity)
+        )
+        labels = snap.view.labels
         self._send_json(
             200,
             {
-                "goal_space": sorted(map(str, model.goal_space_labels(activity))),
+                "goal_space": sorted(
+                    str(labels.goals[gid]) for gid in goal_ids.tolist()
+                ),
                 "action_space": sorted(
-                    map(str, model.action_space_labels(activity))
+                    str(labels.actions[aid]) for aid in action_ids.tolist()
                 ),
             },
         )
@@ -1698,14 +1723,14 @@ class RecommenderService:
         enable_metrics: turn on process-wide metric recording at
             construction.
         enable_tracing: turn on process-wide span recording — required for
-            the ``/debug/slow`` span trees and the per-stage breakdown in
-            ``/debug/vars``.
+            the ``/debug/slow`` span trees.
         enable_exemplars: capture per-bucket request-id exemplars on the
             latency histograms (rendered by the OpenMetrics ``/metrics``
             variant); implies nothing unless metrics are on.
         trace_detail: recommend spans additionally carry the space sizes
             |IS|, |GS|, |AS| and the candidate count (one CSR engine call
-            per request); implies nothing unless tracing is on.
+            per request), and every response a ``Server-Timing`` header;
+            implies nothing unless tracing is on.
         cache_size: capacity of the ``(generation, strategy, activity, k)``
             recommendation LRU; 0 disables result caching.
         approx_budget: per-action posting-list cap of the ``tier=approx``
@@ -1862,10 +1887,6 @@ class RecommenderService:
                 window_seconds=history_window_seconds,
                 registry_getter=lambda: self.registry,
             )
-        # Feed every finished root span into the process stage profiler so
-        # /debug/vars serves a per-stage breakdown; removed again in stop().
-        self._tracer = obs.get_tracer()
-        self._tracer.add_sink(obs.get_profiler().observe_span)
         handler = type("BoundHandler", (_Handler,), {"service": self})
         self._server = _build_server(
             host, port, handler,
@@ -1990,7 +2011,6 @@ class RecommenderService:
         # process.
         self._server.server_close()
         self._thread = None
-        self._tracer.remove_sink(obs.get_profiler().observe_span)
         self._close_recorder()
         obs.log_event(
             _LOG, "service.drain.done", drained=not dropped, dropped=dropped,
@@ -1999,7 +2019,8 @@ class RecommenderService:
 
     def _record(self, record: _RequestRecord) -> None:
         """Account one finished request, in order: SLO, counters,
-        histogram and log line; the slow log; the flight recorder.
+        histogram and log line; the stage profiler; the slow log; the
+        flight recorder.
 
         The span tree is serialized only for a request past the slow
         threshold or admitted by the recorder's head-based sampler —
@@ -2037,6 +2058,7 @@ class RecommenderService:
             endpoint=endpoint, method=method, status=status,
             seconds=round(elapsed, 6), **stage,
         )
+        obs.get_profiler().observe_span(stage_durations(record.marks, record.end_ns))
         if elapsed >= self.slow_log.threshold_seconds:
             self.slow_log.offer(
                 record.request_id, endpoint, method, status, elapsed,
@@ -2241,7 +2263,6 @@ class RecommenderService:
         self._server.close_connections()
         self._server.server_close()
         self._thread = None
-        self._tracer.remove_sink(obs.get_profiler().observe_span)
         self._close_recorder()
         obs.log_event(_LOG, "service.stop")
 

@@ -1,5 +1,6 @@
-"""Unit tests: stage profiler, slow-request log, cProfile sessions, and
-the tracer under pressure (bounded buffer, concurrent producers, sinks).
+"""Unit tests: stage durations and the stage profiler, slow-request log,
+cProfile sessions, and the tracer under pressure (bounded buffer,
+concurrent producers).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from repro.obs.profiling import (
     ProfileSession,
     SlowRequestLog,
     StageProfiler,
+    stage_durations,
 )
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -27,65 +29,36 @@ def _obs_reset():
     obs.disable()
 
 
-def _span(name, duration, children=()):
-    span = Span(name, {})
-    span.duration = duration
-    span.children = list(children)
-    return span
-
-
 class TestStageProfiler:
     def test_harvests_every_stage_from_one_tree(self):
+        # One request's marks, every stage entered once.
+        marks = [(stage, 1_000 * i) for i, stage in enumerate(STAGES)]
+        durations = stage_durations(marks, 1_000 * len(STAGES) + 500)
+        assert list(durations) == list(STAGES)
+        assert durations["write"] == 1_500
         profiler = StageProfiler()
-        root = _span(
-            "http.request",
-            0.5,
-            [
-                _span(
-                    "recommend",
-                    0.4,
-                    [
-                        _span("implementation_space", 0.1),
-                        _span("goal_space", 0.05),
-                        _span("action_space", 0.08),
-                        _span("rank", 0.15),
-                    ],
-                )
-            ],
-        )
-        profiler.observe_span(root)
+        profiler.observe_span(durations)
         breakdown = profiler.breakdown()
         assert set(breakdown) == set(STAGES)
         assert breakdown["rank"]["count"] == 1
-        assert breakdown["rank"]["total_seconds"] == pytest.approx(0.15)
-        assert breakdown["implementation_space"]["p50_seconds"] == pytest.approx(0.1)
-
-    def test_nested_same_name_stage_counted_once(self):
-        # A CachedModelView miss produces the view's stage span wrapping the
-        # model's; only the outermost occurrence may be attributed.
-        profiler = StageProfiler()
-        root = _span(
-            "recommend",
-            0.3,
-            [_span("implementation_space", 0.2, [_span("implementation_space", 0.19)])],
-        )
-        profiler.observe_span(root)
-        entry = profiler.breakdown()["implementation_space"]
-        assert entry["count"] == 1
-        assert entry["total_seconds"] == pytest.approx(0.2)
+        assert breakdown["rank"]["total_seconds"] == pytest.approx(1e-6)
+        assert breakdown["write"]["p50_seconds"] == pytest.approx(1.5e-6)
 
     def test_sibling_same_name_stages_both_counted(self):
-        root = _span(
-            "recommend_all",
-            0.3,
-            [_span("rank", 0.1), _span("rank", 0.05)],
-        )
+        # A stage entered twice sums both of its intervals into the one
+        # request's duration.
+        marks = [("parse", 0), ("rank", 10), ("cache", 15), ("rank", 40)]
+        assert stage_durations(marks, 100) == {
+            "parse": 10, "rank": 65, "cache": 25,
+        }
         profiler = StageProfiler()
-        profiler.observe_span(root)
-        assert profiler.breakdown()["rank"]["count"] == 2
+        profiler.observe_span(stage_durations(marks, 100))
+        entry = profiler.breakdown()["rank"]
+        assert entry["count"] == 1
+        assert entry["total_seconds"] == pytest.approx(65e-9)
 
     def test_unobserved_stages_report_zeros(self):
-        entry = StageProfiler().breakdown()["goal_space"]
+        entry = StageProfiler().breakdown()["cache"]
         assert entry == {
             "count": 0,
             "total_seconds": 0.0,
@@ -97,12 +70,12 @@ class TestStageProfiler:
 
     def test_record_rejects_unknown_stage(self):
         with pytest.raises(ValueError, match="unknown stage"):
-            StageProfiler().record("parse", 0.1)
+            StageProfiler().observe_span({"implementation_space": 100})
 
     def test_reservoir_is_bounded_but_totals_are_lifetime(self):
         profiler = StageProfiler(max_samples=4)
         for i in range(10):
-            profiler.record("rank", float(i))
+            profiler.observe_span({"rank": i * 1_000_000_000})
         entry = profiler.breakdown()["rank"]
         assert entry["count"] == 10
         assert entry["total_seconds"] == pytest.approx(45.0)
@@ -115,21 +88,22 @@ class TestStageProfiler:
         try:
             obs.enable(metrics=True)
             profiler = StageProfiler()
-            profiler.observe_span(_span("recommend", 0.2, [_span("rank", 0.1)]))
+            profiler.observe_span({"parse": 50_000_000, "rank": 100_000_000})
             snapshot = registry.snapshot()
             assert snapshot["repro_stage_latency_seconds"]["samples"][
                 (("stage", "rank"),)
             ] == {"count": 1, "sum": pytest.approx(0.1)}
-            assert (
-                snapshot["repro_profiler_samples"]["samples"][(("stage", "rank"),)]
-                == 1
-            )
+            # The occupancy gauge is set only for the stages entered.
+            assert snapshot["repro_profiler_samples"]["samples"] == {
+                (("stage", "parse"),): 1,
+                (("stage", "rank"),): 1,
+            }
         finally:
             obs.set_registry(previous)
 
     def test_reset_clears_everything(self):
         profiler = StageProfiler()
-        profiler.record("rank", 1.0)
+        profiler.observe_span({"rank": 1_000_000_000})
         profiler.reset()
         assert profiler.breakdown()["rank"]["count"] == 0
 
@@ -220,14 +194,6 @@ class TestTracerUnderPressure:
         threads, per_thread = 8, 50
         tracer = Tracer(max_spans=threads * per_thread)
         previous = obs.set_tracer(tracer)
-        harvested = []
-        harvest_lock = threading.Lock()
-
-        def sink(root):
-            with harvest_lock:
-                harvested.append(root)
-
-        tracer.add_sink(sink)
 
         def produce(worker):
             for i in range(per_thread):
@@ -259,7 +225,6 @@ class TestTracerUnderPressure:
                 for s in spans
             }
             assert len(seen) == threads * per_thread
-            assert len(harvested) == threads * per_thread
         finally:
             obs.set_tracer(previous)
 
@@ -281,37 +246,5 @@ class TestTracerUnderPressure:
                 worker.join()
             assert tracer.occupancy() == tracer.capacity == 16
             assert len(tracer.spans()) == 16
-        finally:
-            obs.set_tracer(previous)
-
-    def test_removed_sink_stops_firing(self):
-        tracer = Tracer()
-        previous = obs.set_tracer(tracer)
-        seen = []
-        tracer.add_sink(seen.append)
-        try:
-            obs.enable(tracing=True)
-            with obs.trace_span("one"):
-                pass
-            tracer.remove_sink(seen.append)
-            with obs.trace_span("two"):
-                pass
-            assert [root.name for root in seen] == ["one"]
-        finally:
-            obs.set_tracer(previous)
-
-    def test_failing_sink_does_not_break_tracing(self):
-        tracer = Tracer()
-        previous = obs.set_tracer(tracer)
-
-        def explode(root):
-            raise RuntimeError("sink bug")
-
-        tracer.add_sink(explode)
-        try:
-            obs.enable(tracing=True)
-            with obs.trace_span("survives"):
-                pass
-            assert [s["name"] for s in tracer.spans()] == ["survives"]
         finally:
             obs.set_tracer(previous)

@@ -25,9 +25,9 @@ from repro.resilience import (
     RetryPolicy,
     active_deadline,
     active_injector,
-    check_deadline,
     clear_faults,
     deadline_scope,
+    enter_stage,
     inject,
     install_faults,
     parse_fault_spec,
@@ -94,7 +94,7 @@ class TestDeadline:
         assert active_deadline() is None
 
     def test_check_deadline_is_noop_without_scope(self):
-        check_deadline("rank")  # must not raise
+        enter_stage("rank")  # must not raise
 
     def test_check_deadline_raises_inside_scope(self):
         clock = FakeClock()
@@ -102,7 +102,7 @@ class TestDeadline:
         clock.advance(1.0)
         with deadline_scope(deadline):
             with pytest.raises(DeadlineExceededError):
-                check_deadline("batch")
+                enter_stage("rank")
 
 
 # ----------------------------------------------------------------------

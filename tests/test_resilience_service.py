@@ -223,6 +223,36 @@ class TestAdmissionControl:
         occupant.join(10.0)
         assert (health_status, metrics_status, debug_status) == (200, 200, 200)
 
+    def test_deadline_spent_in_the_queue_is_shed_429(self, make_service):
+        service = make_service(
+            max_inflight=1, max_queue=4, queue_timeout_seconds=5.0,
+            retry_after_seconds=2.0,
+        )
+        install_faults(
+            FaultInjector([FaultRule("model", "latency", delay_ms=600.0)])
+        )
+        occupant = threading.Thread(
+            target=call, args=(service, "/recommend", RECOMMEND)
+        )
+        occupant.start()
+        deadline = time.monotonic() + 5.0
+        while service.admission.active() == 0:
+            assert time.monotonic() < deadline, "occupant never admitted"
+            time.sleep(0.01)
+        # The deadline caps the queue wait below queue_timeout, so the
+        # wait ends with the deadline spent: still a shed, not a 504.
+        status, headers, raw = call(
+            service, "/recommend", RECOMMEND,
+            headers={"X-Request-Deadline-Ms": "50"},
+        )
+        occupant.join(10.0)
+        assert status == 429
+        assert headers["Retry-After"] == "2"
+        assert "queue_timeout" in body_json(raw)["detail"]
+        text = call(service, "/metrics")[2].decode()
+        assert 'repro_shed_requests_total{reason="queue_timeout"} 1' in text
+        assert "repro_deadline_exceeded_total{" not in text
+
     def test_debug_vars_reports_resilience_state(self, make_service):
         service = make_service(max_inflight=7, max_queue=9)
         _, _, raw = call(service, "/debug/vars")
@@ -240,8 +270,8 @@ class TestAdmissionControl:
 class TestDeadlines:
     def test_expired_deadline_names_stage_recommend(self, make_service):
         service = make_service()
-        # The model seam stalls 80 ms; a 20 ms deadline therefore expires
-        # before the pipeline's first space query.
+        # The model seam stalls 80 ms inside the cache stage; a 20 ms
+        # deadline therefore expires before the ranking starts.
         install_faults(
             FaultInjector([FaultRule("model", "latency", delay_ms=80.0)])
         )
@@ -252,7 +282,7 @@ class TestDeadlines:
         assert status == 504
         body = body_json(raw)
         assert body["error"] == "deadline exceeded"
-        assert "implementation_space" in body["detail"]
+        assert "'rank'" in body["detail"]
 
     def test_expired_deadline_names_stage_batch(self, make_service):
         service = make_service()
@@ -264,7 +294,7 @@ class TestDeadlines:
             headers={"X-Request-Deadline-Ms": "20"},
         )
         assert status == 504
-        assert "batch" in body_json(raw)["detail"]
+        assert "'rank'" in body_json(raw)["detail"]
 
     def test_deadline_exceeded_counter_labels_stage(self, make_service):
         service = make_service()
@@ -278,7 +308,7 @@ class TestDeadlines:
         assert status == 504
         _, _, metrics = call(service, "/metrics")
         assert (
-            'repro_deadline_exceeded_total{stage="implementation_space"} 1'
+            'repro_deadline_exceeded_total{stage="rank"} 1'
             in metrics.decode()
         )
 
@@ -299,6 +329,38 @@ class TestDeadlines:
         )
         assert status == 200
         assert body_json(raw)["recommendations"]
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE"])
+    def test_mutation_past_its_deadline_is_answered_or_not_applied(
+        self, make_service, method
+    ):
+        service = make_service()
+        # The model seam stalls 80 ms inside the mutation, after its last
+        # deadline checkpoint: a 20 ms deadline expires during the work.
+        install_faults(
+            FaultInjector([FaultRule("model", "latency", delay_ms=80.0)])
+        )
+        if method == "PUT":
+            path, payload = "/model/implementations", RELOAD
+        else:
+            path, payload = "/model/implementations/0", None
+        status, _, raw = call(
+            service, path, payload, method=method,
+            headers={"X-Request-Deadline-Ms": "20"},
+        )
+        clear_faults()
+        model = body_json(call(service, "/model")[2])
+        if status == 504:
+            assert model["generation"] == 0
+            assert model["implementations"] == len(PAIRS)
+        else:
+            assert status == 200
+            body = body_json(raw)
+            assert body["generation"] == model["generation"] == 1
+            assert body["implementations"] == model["implementations"]
+            assert model["implementations"] == (
+                len(PAIRS) + 1 if method == "PUT" else len(PAIRS) - 1
+            )
 
     @pytest.mark.parametrize("bad", ["abc", "-5", "0", "inf", "nan", ""])
     def test_malformed_deadline_header_is_400(self, make_service, bad):

@@ -130,6 +130,21 @@ class TestSpaces:
         assert status == 200
         assert body["goal_space"] == []
 
+    def test_one_engine_space_query_per_request(self, service, monkeypatch):
+        from repro.core.vectorized import BatchRecommender
+
+        calls = []
+        masks = BatchRecommender._space_masks
+
+        def counting(self, activity):
+            calls.append(activity)
+            return masks(self, activity)
+
+        monkeypatch.setattr(BatchRecommender, "_space_masks", counting)
+        status, _ = call(service, "/spaces", {"activity": ["potatoes"]})
+        assert status == 200
+        assert len(calls) == 1
+
 
 class TestExplain:
     def test_evidence_returned(self, service):
