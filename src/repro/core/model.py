@@ -42,32 +42,13 @@ from repro.core.library import ImplementationLibrary, LibraryStats
 from repro.exceptions import ModelError, UnknownActionError, UnknownGoalError
 
 
-#: Call-site memo for the space-query counters: ``(registry, {space: child})``,
-#: swapped atomically as one tuple so a concurrent registry swap can at worst
-#: rebuild the memo, never mix children across registries.  Space queries are
-#: the hottest instrumented call in the pipeline; skipping the registry's
-#: name/label validation on every hit keeps the enabled path inside the ≤10%
-#: budget of ``benchmarks/bench_obs_overhead.py``.
-_space_counters: tuple[object, dict[str, obs.Counter]] | None = None
-
-
 def _count_space_query(space: str) -> None:
     """Count one IS/GS/AS query (``goal``/``action`` also query ``IS``)."""
-    global _space_counters
-    registry = obs.get_registry()
-    cached = _space_counters
-    if cached is None or cached[0] is not registry:
-        cached = (registry, {})
-        _space_counters = cached
-    counter = cached[1].get(space)
-    if counter is None:
-        counter = registry.counter(
-            "repro_space_queries_total",
-            "Space queries answered, by space (IS/GS/AS).",
-            space=space,
-        )
-        cached[1][space] = counter
-    counter.inc()
+    obs.get_registry().counter(
+        "repro_space_queries_total",
+        "Space queries answered, by space (IS/GS/AS).",
+        space=space,
+    ).inc()
 
 
 @dataclass(frozen=True, slots=True, eq=False)

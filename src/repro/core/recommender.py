@@ -85,12 +85,6 @@ class GoalRecommender:
             self._csr_runners = {
                 name: CsrStrategy(engine, name) for name in _CSR_STRATEGIES
             }
-        # Call-site memo for the per-strategy counter/histogram children,
-        # ``(registry, {strategy: (counter, histogram)})`` swapped as one
-        # tuple (see ``model._space_counters`` for the pattern/rationale).
-        self._metric_handles: (
-            tuple[object, dict[str, tuple[obs.Counter, obs.Histogram]]] | None
-        ) = None
 
     def with_model(self, model: ModelView) -> "GoalRecommender":
         """A recommender over ``model`` sharing this one's strategy cache.
@@ -201,28 +195,17 @@ class GoalRecommender:
             elapsed = perf_counter() - start
             if obs.metrics_enabled():
                 registry = obs.get_registry()
-                handles = self._metric_handles
-                if handles is None or handles[0] is not registry:
-                    handles = (registry, {})
-                    self._metric_handles = handles
-                pair = handles[1].get(chosen.name)
-                if pair is None:
-                    pair = (
-                        registry.counter(
-                            "repro_recommend_requests_total",
-                            "Recommendation requests served, by strategy.",
-                            strategy=chosen.name,
-                        ),
-                        registry.histogram(
-                            "repro_recommend_latency_seconds",
-                            "End-to-end GoalRecommender.recommend latency, "
-                            "by strategy.",
-                            strategy=chosen.name,
-                        ),
-                    )
-                    handles[1][chosen.name] = pair
-                pair[0].inc()
-                pair[1].observe(elapsed)
+                registry.counter(
+                    "repro_recommend_requests_total",
+                    "Recommendation requests served, by strategy.",
+                    strategy=chosen.name,
+                ).inc()
+                registry.histogram(
+                    "repro_recommend_latency_seconds",
+                    "End-to-end GoalRecommender.recommend latency, "
+                    "by strategy.",
+                    strategy=chosen.name,
+                ).observe(elapsed)
             if span.is_recording:
                 span.set_attrs(
                     activity_size=len(encoded),

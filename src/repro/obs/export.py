@@ -152,25 +152,6 @@ class RotatingFileWriter:
             self._handle.close()
 
 
-class _RecorderHandles:
-    """Metric children of one registry, memoized by the flight recorder."""
-
-    __slots__ = ("registry", "backlog", "rotations", "records", "drops")
-
-    def __init__(self, registry: obs_metrics.MetricsRegistry) -> None:
-        self.registry = registry
-        self.backlog = registry.gauge(
-            "repro_telemetry_backlog",
-            "Telemetry records queued for the flight-recorder writer thread.",
-        )
-        self.rotations = registry.counter(
-            "repro_telemetry_rotations_total",
-            "Flight-recorder JSONL file rotations.",
-        )
-        self.records: dict[str, obs_metrics.Counter] = {}
-        self.drops: dict[str, obs_metrics.Counter] = {}
-
-
 class FlightRecorder:
     """Sampled, size-capped, durable JSONL export of spans and events.
 
@@ -208,7 +189,6 @@ class FlightRecorder:
             on_rotate=self._count_rotation,
         )
         self._cond = threading.Condition()
-        self._handles_memo: _RecorderHandles | None = None
         self._queue: deque[dict[str, object]] = deque()
         self._recorder_closed = False
         self._enqueued = 0
@@ -219,63 +199,42 @@ class FlightRecorder:
         )
         self._worker.start()
 
-    # -- metric handles --------------------------------------------------
-    # One call site per family (RL003), memoized per registry: the hot
-    # sampled-out path must cost one hash and one dict lookup, not a
-    # registry traversal — part of the ≤10% budget enforced by
-    # ``benchmarks/bench_quality_telemetry.py``.  The memo is swapped as
-    # one object; the benign build race between serving threads and the
-    # worker just fetches the same idempotent children twice.
-
-    def _metric_handles(self) -> _RecorderHandles | None:
-        if not runtime.metrics_enabled():
-            return None
-        registry = obs_metrics.get_registry()
-        memo = self._handles_memo
-        if memo is None or memo.registry is not registry:
-            memo = _RecorderHandles(registry)
-            self._handles_memo = memo
-        return memo
+    # -- metric helpers --------------------------------------------------
+    # One call site per family (RL003).  The registry memoizes its
+    # children, so each call is one dict probe on the sampled-out path that
+    # ``benchmarks/bench_quality_telemetry.py`` holds to its ≤10% budget.
 
     def _set_backlog(self, backlog: int) -> None:
-        handles = self._metric_handles()
-        if handles is not None:
-            handles.backlog.set(backlog)
+        if runtime.metrics_enabled():
+            obs_metrics.get_registry().gauge(
+                "repro_telemetry_backlog",
+                "Telemetry records queued for the flight-recorder writer thread.",
+            ).set(backlog)
 
     def _count_record(self, kind: str) -> None:
-        handles = self._metric_handles()
-        if handles is None:
-            return
-        counter = handles.records.get(kind)
-        if counter is None:
-            counter = handles.registry.counter(
+        if runtime.metrics_enabled():
+            obs_metrics.get_registry().counter(
                 "repro_telemetry_records_total",
                 "Telemetry records accepted by the flight recorder, by kind.",
                 kind=kind,
-            )
-            handles.records[kind] = counter
-        counter.inc()
+            ).inc()
 
     def _count_drop(self, reason: str) -> None:
-        handles = self._metric_handles()
-        if handles is None:
-            return
-        counter = handles.drops.get(reason)
-        if counter is None:
-            counter = handles.registry.counter(
+        if runtime.metrics_enabled():
+            obs_metrics.get_registry().counter(
                 "repro_telemetry_dropped_total",
                 "Telemetry records not written, by reason (sampled = head-"
                 "based sampling, backlog = full queue, closed = recorder "
                 "shut down, error = serialization/write failure).",
                 reason=reason,
-            )
-            handles.drops[reason] = counter
-        counter.inc()
+            ).inc()
 
     def _count_rotation(self) -> None:
-        handles = self._metric_handles()
-        if handles is not None:
-            handles.rotations.inc()
+        if runtime.metrics_enabled():
+            obs_metrics.get_registry().counter(
+                "repro_telemetry_rotations_total",
+                "Flight-recorder JSONL file rotations.",
+            ).inc()
 
     # -- recording -------------------------------------------------------
 

@@ -10,7 +10,8 @@ Three metric kinds, matching the Prometheus data model:
   counts, a sum and a count (latencies).
 
 Metrics are addressed by *family name* plus a *label set*; children are
-created on first use and cached, so call sites simply write::
+created on first use and memoized by the registry, so call sites simply
+write the lookup inline, on every call::
 
     registry = obs.get_registry()
     registry.counter("repro_http_requests_total",
@@ -19,6 +20,11 @@ created on first use and cached, so call sites simply write::
     registry.histogram("repro_recommend_latency_seconds",
                        "recommend() latency.",
                        strategy="breadth").observe(elapsed)
+
+A repeated lookup costs one dict probe: the registry keeps every child it
+has handed out under the exact call that asked for it (name, kind, buckets
+and label items), so no call site needs a memo of its own, and
+:meth:`MetricsRegistry.reset` drops that memo with the families.
 
 Everything is stdlib-only and thread-safe: family/child creation takes the
 registry lock, and each child serializes its own updates, so handler threads
@@ -286,6 +292,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._families: dict[str, _Family] = {}
+        # ``(name, kind, buckets, *label items) -> child`` for calls already
+        # resolved.  Written under ``_lock`` and read without it: a dict
+        # probe is atomic, and an entry is only ever added for a child that
+        # is in ``_families``.
+        self._memo: dict[tuple[object, ...], object] = {}
 
     # ------------------------------------------------------------------
     # Metric accessors (create-on-first-use)
@@ -311,8 +322,9 @@ class MetricsRegistry:
         ``buckets`` applies on family creation; later calls must agree (or
         omit it) — a family cannot mix bucket layouts.
         """
-        resolved = tuple(float(b) for b in buckets) if buckets is not None else None
-        return self._child(name, "histogram", help, labels, resolved)
+        if buckets is not None and type(buckets) is not tuple:
+            buckets = tuple(buckets)  # hashable, for the child memo
+        return self._child(name, "histogram", help, labels, buckets)
 
     def _child(
         self,
@@ -320,10 +332,24 @@ class MetricsRegistry:
         kind: str,
         help_text: str,
         labels: dict[str, object],
-        buckets: tuple[float, ...] | None,
+        buckets: Sequence[float] | None,
     ) -> object:
+        # Fast path for a call already resolved.  Only ``str`` label values
+        # take it: ``1``, ``1.0`` and ``True`` compare equal as dict keys
+        # but ``str()`` tells them apart.  A kind, label-name or bucket
+        # clash never has an entry, so it reaches the checks below.
+        memo_key: tuple[object, ...] | None = None
+        for value in labels.values():
+            if type(value) is not str:
+                break
+        else:
+            memo_key = (name, kind, buckets, *labels.items())
+            child = self._memo.get(memo_key)
+            if child is not None:
+                return child
         if not _METRIC_NAME.match(name):
             raise ValueError(f"invalid metric name {name!r}")
+        resolved = tuple(float(b) for b in buckets) if buckets is not None else None
         for label in labels:
             if not _LABEL_NAME.match(label):
                 raise ValueError(f"invalid label name {label!r} on {name}")
@@ -332,7 +358,7 @@ class MetricsRegistry:
         with self._lock:
             family = self._families.get(name)
             if family is None:
-                family = _Family(name, kind, help_text, label_names, buckets)
+                family = _Family(name, kind, help_text, label_names, resolved)
                 self._families[name] = family
             else:
                 if family.kind != kind:
@@ -344,8 +370,8 @@ class MetricsRegistry:
                         f"metric {name!r} has labels {family.label_names}, "
                         f"got {label_names}"
                     )
-                if buckets is not None and family.buckets is not None \
-                        and buckets != family.buckets:
+                if resolved is not None and family.buckets is not None \
+                        and resolved != family.buckets:
                     raise ValueError(
                         f"metric {name!r} already has buckets {family.buckets}"
                     )
@@ -356,6 +382,8 @@ class MetricsRegistry:
                 else:
                     child = _KINDS[kind]()
                 family.children[key] = child
+            if memo_key is not None:
+                self._memo[memo_key] = child
             return child
 
     # ------------------------------------------------------------------
@@ -409,6 +437,7 @@ class MetricsRegistry:
         """Drop every family (test isolation helper)."""
         with self._lock:
             self._families.clear()
+            self._memo.clear()
 
     def render(self) -> str:
         """The Prometheus text exposition (format version 0.0.4)."""

@@ -37,7 +37,7 @@ import time
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime
@@ -66,6 +66,7 @@ EventSink = Callable[[str, dict[str, object]], None]
 #: sliding-window state is shared across the service's handler threads.
 _GUARDED_BY = {
     "DriftDetector._baseline": "_lock",
+    "DriftDetector._terms": "_lock",
     "DriftDetector._window": "_lock",
     "DriftDetector._counts": "_lock",
     "DriftDetector._since_recompute": "_lock",
@@ -77,8 +78,6 @@ _GUARDED_BY = {
     "SLOTracker._slow": "_lock",
     "SLOTracker._availability_burn": "_lock",
     "SLOTracker._latency_burn": "_lock",
-    "QualityMonitor._handles": "_lock",
-    "QualityMonitor._traffic_handles": "_lock",
     "QualityMonitor._stats": "_lock",
     "QualityMonitor._observations": "_lock",
     "QualityMonitor._coverage_window": "_lock",
@@ -110,11 +109,45 @@ def population_stability_index(
     Rule of thumb from the credit-scoring literature: < 0.1 stable,
     0.1–0.25 moderate shift, > 0.25 drifted.
     """
-    score = 0.0
+    return _psi(_baseline_terms(baseline, epsilon), baseline, live, epsilon)
+
+
+def _baseline_terms(
+    baseline: Mapping[str, float], epsilon: float = 1e-6
+) -> tuple[tuple[str, float, float], ...]:
+    """``(label, floored p_base, term if label is absent from live)``, sorted.
+
+    Built once per baseline: a live window holds a few hundred labels, so
+    most baseline buckets are absent from it and add a term fixed by the
+    baseline alone.
+    """
+    terms: list[tuple[str, float, float]] = []
     for label in sorted(baseline):
         p_base = max(baseline[label], epsilon)
-        p_live = max(live.get(label, 0.0), epsilon)
-        score += (p_live - p_base) * math.log(p_live / p_base)
+        terms.append(
+            (label, p_base, (epsilon - p_base) * math.log(epsilon / p_base))
+        )
+    return tuple(terms)
+
+
+def _psi(
+    terms: tuple[tuple[str, float, float], ...],
+    baseline: Mapping[str, float],
+    live: Mapping[str, float],
+    epsilon: float = 1e-6,
+) -> float:
+    """:func:`population_stability_index` over prebuilt baseline terms.
+
+    Adds the same terms in the same order, so the score is bit-identical.
+    """
+    score = 0.0
+    for label, p_base, absent in terms:
+        p_live = live.get(label)
+        if p_live is None:
+            score += absent
+        else:
+            p_live = max(p_live, epsilon)
+            score += (p_live - p_base) * math.log(p_live / p_base)
     oov_mass = sum(
         probability
         for label, probability in sorted(live.items())
@@ -210,6 +243,7 @@ class DriftDetector:
         self.event_sink = event_sink
         self._lock = threading.Lock()
         self._baseline: BaselineProfile | None = None
+        self._terms: tuple[tuple[str, float, float], ...] = ()
         self._window: deque[str] = deque()
         self._counts: Counter[str] = Counter()
         self._since_recompute = 0
@@ -245,8 +279,10 @@ class DriftDetector:
         Called at model load and on every hot-reload generation swap: the
         old window described traffic scored against the old vocabulary.
         """
+        terms = _baseline_terms(baseline.distribution)
         with self._lock:
             self._baseline = baseline
+            self._terms = terms
             self._window.clear()
             self._counts.clear()
             self._since_recompute = 0
@@ -282,7 +318,7 @@ class DriftDetector:
             live = {
                 label: count / total for label, count in self._counts.items()
             }
-            self._psi = population_stability_index(baseline.distribution, live)
+            self._psi = _psi(self._terms, baseline.distribution, live)
             score = self._psi
             crossed = score >= self.threshold
             if crossed and not self._alerting:
@@ -437,23 +473,6 @@ class SLOTracker:
             }
 
 
-class _StrategyHandles(NamedTuple):
-    """Memoized metric children for one strategy label set."""
-
-    requests: obs_metrics.Counter
-    empty: obs_metrics.Counter
-    below: obs_metrics.Counter
-    top_score: obs_metrics.Histogram
-
-
-class _TrafficHandles(NamedTuple):
-    """Memoized metric children of the request-level hook."""
-
-    oov: obs_metrics.Histogram
-    coverage: obs_metrics.Gauge
-    generation: obs_metrics.Gauge
-
-
 @dataclass
 class _StrategyStats:
     """Plain counters mirrored for ``snapshot()`` (registry-independent)."""
@@ -496,14 +515,6 @@ class QualityMonitor:
         self.drift = drift if drift is not None else DriftDetector()
         self.event_sink = event_sink
         self._lock = threading.Lock()
-        # Call-site memo for per-strategy metric children, swapped as one
-        # ``(registry, {strategy: handles})`` tuple (the GoalRecommender
-        # pattern): the steady-state cost is one dict lookup, which is how
-        # the ≤10% budget of bench_quality_telemetry.py holds.
-        self._handles: (
-            tuple[object, dict[str, _StrategyHandles]] | None
-        ) = None
-        self._traffic_handles: tuple[object, _TrafficHandles] | None = None
         self._stats: dict[str, _StrategyStats] = {}
         self._observations = 0
         self._coverage_window: deque[tuple[str, ...]] = deque()
@@ -544,58 +555,42 @@ class QualityMonitor:
                 stats.below_threshold += 1
             self._observations += 1
             sample_spaces = self._observations % self.space_sample_every == 0
-            handles = self._handles_locked(strategy)
-        if handles is not None:
-            handles.requests.inc()
+        if runtime.metrics_enabled():
+            # All four children are looked up on every call, so a strategy's
+            # empty and below-threshold series read 0 from its first request.
+            registry = obs_metrics.get_registry()
+            requests = registry.counter(
+                "repro_quality_requests_total",
+                "Recommendations accounted by the quality monitor, by strategy.",
+                strategy=strategy,
+            )
+            empty = registry.counter(
+                "repro_quality_empty_total",
+                "Recommendations that returned an empty list, by strategy.",
+                strategy=strategy,
+            )
+            below_threshold = registry.counter(
+                "repro_quality_below_threshold_total",
+                "Non-empty recommendations whose top score fell below the "
+                "configured quality threshold, by strategy.",
+                strategy=strategy,
+            )
+            top = registry.histogram(
+                "repro_quality_top_score",
+                "Distribution of the top recommendation score, by strategy "
+                "(dimensionless).",
+                buckets=SCORE_BUCKETS,
+                strategy=strategy,
+            )
+            requests.inc()
             if top_score is None:
-                handles.empty.inc()
+                empty.inc()
             else:
-                handles.top_score.observe(top_score)
+                top.observe(top_score)
                 if below:
-                    handles.below.inc()
+                    below_threshold.inc()
         if sample_spaces:
             self._observe_spaces(model, activity)
-
-    def _handles_locked(self, strategy: str) -> _StrategyHandles | None:
-        """Fetch/build the memoized metric children for ``strategy``."""
-        if not runtime.metrics_enabled():
-            return None
-        registry = obs_metrics.get_registry()
-        memo = self._handles
-        if memo is None or memo[0] is not registry:
-            memo = (registry, {})
-            self._handles = memo
-        handles = memo[1].get(strategy)
-        if handles is None:
-            handles = _StrategyHandles(
-                requests=registry.counter(
-                    "repro_quality_requests_total",
-                    "Recommendations accounted by the quality monitor, by "
-                    "strategy.",
-                    strategy=strategy,
-                ),
-                empty=registry.counter(
-                    "repro_quality_empty_total",
-                    "Recommendations that returned an empty list, by "
-                    "strategy.",
-                    strategy=strategy,
-                ),
-                below=registry.counter(
-                    "repro_quality_below_threshold_total",
-                    "Non-empty recommendations whose top score fell below "
-                    "the configured quality threshold, by strategy.",
-                    strategy=strategy,
-                ),
-                top_score=registry.histogram(
-                    "repro_quality_top_score",
-                    "Distribution of the top recommendation score, by "
-                    "strategy (dimensionless).",
-                    buckets=SCORE_BUCKETS,
-                    strategy=strategy,
-                ),
-            )
-            memo[1][strategy] = handles
-        return handles
 
     def _observe_spaces(self, model: "ModelView", activity: frozenset[int]) -> None:
         """Record |IS|/|GS|/|AS| for one deterministically sampled request.
@@ -628,41 +623,6 @@ class QualityMonitor:
 
     # -- request-level hook ----------------------------------------------
 
-    def _traffic_handles_locked(self) -> _TrafficHandles | None:
-        """Fetch/build the memoized request-level metric handles.
-
-        Same shape as :meth:`_handles_locked`: the registry lookups run
-        once per registry swap, not once per served request — that keeps
-        the hot path inside the ≤10% budget of
-        ``bench_quality_telemetry.py``.
-        """
-        if not runtime.metrics_enabled():
-            return None
-        registry = obs_metrics.get_registry()
-        memo = self._traffic_handles
-        if memo is None or memo[0] is not registry:
-            handles = _TrafficHandles(
-                oov=registry.histogram(
-                    "repro_quality_oov_ratio",
-                    "Per-request fraction of distinct activity actions "
-                    "unknown to the serving model.",
-                    buckets=RATIO_BUCKETS,
-                ),
-                coverage=registry.gauge(
-                    "repro_quality_catalog_coverage_ratio",
-                    "Fraction of the action catalog recommended at least "
-                    "once within the sliding coverage window.",
-                ),
-                generation=registry.gauge(
-                    "repro_quality_model_generation",
-                    "Model generation the quality window is currently "
-                    "observing.",
-                ),
-            )
-            memo = (registry, handles)
-            self._traffic_handles = memo
-        return memo[1]
-
     def observe_traffic(
         self,
         activity: Iterable[str],
@@ -690,11 +650,23 @@ class QualityMonitor:
             for label in recommended:
                 self._coverage_counts[label] += 1
             coverage = len(self._coverage_counts) / max(self._catalog_size, 1)
-            handles = self._traffic_handles_locked()
-        if handles is not None:
-            handles.oov.observe(oov)
-            handles.coverage.set(coverage)
-            handles.generation.set(generation)
+        if runtime.metrics_enabled():
+            registry = obs_metrics.get_registry()
+            registry.histogram(
+                "repro_quality_oov_ratio",
+                "Per-request fraction of distinct activity actions unknown "
+                "to the serving model.",
+                buckets=RATIO_BUCKETS,
+            ).observe(oov)
+            registry.gauge(
+                "repro_quality_catalog_coverage_ratio",
+                "Fraction of the action catalog recommended at least once "
+                "within the sliding coverage window.",
+            ).set(coverage)
+            registry.gauge(
+                "repro_quality_model_generation",
+                "Model generation the quality window is currently observing.",
+            ).set(generation)
         # Drift sees the *sorted distinct* labels: per-request order is
         # irrelevant to a frequency window, and sorting makes the fed
         # sequence — hence the PSI — independent of set-iteration order.
@@ -745,8 +717,6 @@ class QualityMonitor:
     def reset(self) -> None:
         """Clear all accumulated state (tests and generation experiments)."""
         with self._lock:
-            self._handles = None
-            self._traffic_handles = None
             self._stats.clear()
             self._observations = 0
             self._coverage_window.clear()

@@ -56,6 +56,98 @@ class TestCounter:
         assert first is second
 
 
+class TestChildMemo:
+    """The registry finds a child again from its own memo."""
+
+    def test_repeated_call_returns_identical_child(self, registry):
+        first = registry.histogram("h_seconds", buckets=(1.0, 2.0), s="x")
+        assert registry.histogram("h_seconds", buckets=(1.0, 2.0), s="x") is first
+        assert registry.histogram("h_seconds", s="x") is first
+        assert registry.gauge("g") is registry.gauge("g")
+
+    def test_kind_clash_raises_every_time(self, registry):
+        registry.counter("m", a="1")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is a counter"):
+                registry.gauge("m", a="1")
+
+    def test_bucket_clash_raises_every_time(self, registry):
+        registry.histogram("h_seconds", buckets=(1.0, 2.0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="already has buckets"):
+                registry.histogram("h_seconds", buckets=(1.0, 3.0))
+
+    def test_label_name_clash_raises_every_time(self, registry):
+        registry.counter("m", a="1")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="has labels"):
+                registry.counter("m", b="1")
+
+    def test_label_values_split_as_str_splits_them(self, registry):
+        as_str = registry.counter("m", v="1")
+        assert registry.counter("m", v=1) is as_str
+        assert registry.counter("m", v="1") is as_str
+        as_float = registry.counter("m", v=1.0)
+        as_bool = registry.counter("m", v=True)
+        assert as_float is not as_str
+        assert as_bool is not as_str
+        assert as_bool is not as_float
+        assert registry.counter("m", v="1.0") is as_float
+        assert registry.counter("m", v="True") is as_bool
+
+    def test_reset_drops_the_memo(self, registry):
+        before = registry.counter("m", a="1")
+        registry.reset()
+        after = registry.counter("m", a="1")
+        assert after is not before
+        after.inc()
+        assert registry.render().splitlines()[-1] == 'm{a="1"} 1'
+
+
+class TestRegistryReset:
+    """Every recorder writes to the live families after ``reset()``."""
+
+    FAMILIES = (
+        "repro_recommend_requests_total",
+        "repro_space_queries_total",
+        "repro_quality_requests_total",
+        "repro_quality_oov_ratio",
+        "repro_telemetry_records_total",
+    )
+
+    @staticmethod
+    def _record_everything(recommender, monitor, recorder):
+        model = recommender.model
+        encoded = model.encode_activity({"potatoes"})
+        result = recommender.recommend({"potatoes"}, k=3)
+        monitor.observe_recommend("breadth", model, encoded, result)
+        monitor.observe_traffic(["potatoes"], model, result)
+        recorder.record_request("req-1", "/recommend", "POST", 200, 0.001)
+        model.goal_space(encoded)
+
+    def test_families_come_back_after_reset(self, recipe_model, tmp_path):
+        from repro.core import GoalRecommender
+        from repro.obs.export import FlightRecorder
+        from repro.obs.quality import QualityMonitor
+
+        previous = obs.set_registry(MetricsRegistry())
+        obs.enable(metrics=True, tracing=False)
+        recommender = GoalRecommender(recipe_model)
+        monitor = QualityMonitor()
+        recorder = FlightRecorder(tmp_path, sample_rate=1.0)
+        try:
+            self._record_everything(recommender, monitor, recorder)
+            obs.get_registry().reset()
+            self._record_everything(recommender, monitor, recorder)
+            rendered = obs.get_registry().render()
+        finally:
+            recorder.close()
+            obs.disable()
+            obs.set_registry(previous)
+        missing = [f for f in self.FAMILIES if f"# TYPE {f} " not in rendered]
+        assert missing == []
+
+
 class TestGauge:
     def test_set_inc_dec(self, registry):
         gauge = registry.gauge("g")

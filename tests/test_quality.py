@@ -76,6 +76,22 @@ class TestPSI:
             baseline, live_forward
         ) == population_stability_index(baseline, live_reversed)
 
+    def test_matches_the_plain_sorted_sum_bit_for_bit(self):
+        rng = random.Random(3)
+        baseline = {f"a{i:03d}": rng.random() * 1e-2 for i in range(400)}
+        baseline["tiny"] = 1e-9  # floored at epsilon
+        live = {f"a{i:03d}": rng.random() for i in rng.sample(range(400), 40)}
+        live["a000"] = 0.0
+        live["never-seen"] = 0.25
+        epsilon = 1e-6
+        expected = 0.0
+        for label in sorted(baseline):
+            p_base = max(baseline[label], epsilon)
+            p_live = max(live.get(label, 0.0), epsilon)
+            expected += (p_live - p_base) * math.log(p_live / p_base)
+        expected += (0.25 - epsilon) * math.log(0.25 / epsilon)
+        assert population_stability_index(baseline, live) == expected
+
 
 class TestBaselineProfile:
     def test_from_counts_normalizes(self):

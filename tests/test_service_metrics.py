@@ -217,7 +217,10 @@ class TestMethodNotAllowed:
 
     def test_405_counted_as_error(self, service):
         call(service, "/recommend", method="GET")
-        _, text, _ = call(service, "/metrics")
+        text, _ = scrape_until(
+            service,
+            'repro_http_errors_total{endpoint="/recommend",status="405"} 1',
+        )
         assert (
             'repro_http_errors_total{endpoint="/recommend",status="405"} 1'
             in text
