@@ -20,15 +20,29 @@ interning the live implementations (``intern_library``) and building the
 engine from the label tables and id-sorted rows.  Both engines'
 ``export_arrays()`` must be equal in value and dtype.  The model keeps the paper's FoodMart recipe
 lengths (mean 33 actions) over a smaller catalog so generation stays a few
-seconds.  Run with ``PYTHONPATH=src python -m pytest
+seconds.
+
+Two report-only rows describe what a served generation holds: the PSS
+(proportional set size, from ``/proc/self/smaps_rollup``) that one
+``build_served_view`` retains, read in a fresh interpreter that loads
+the library through ``JsonLibraryStore`` just before and just after the
+build, and the bytes of the engine's ``export_arrays()``.  No gate reads
+them; the PSS row is ``n/a`` where ``/proc`` is absent.
+
+Run with ``PYTHONPATH=src python -m pytest
 benchmarks/bench_engine_build.py -q``; the table lands in
 ``benchmarks/results/engine_build.txt``.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +55,7 @@ from repro.core.model import intern_library
 from repro.core.vectorized import BatchRecommender, _frequency_order
 from repro.data import FoodMartConfig, generate_foodmart
 from repro.eval import format_table
+from repro.storage import JsonLibraryStore
 
 REPEATS = 5
 
@@ -67,6 +82,48 @@ def _median_ms(fn) -> tuple[float, object]:
     return 1e3 * statistics.median(times), result
 
 
+#: Run in a fresh interpreter on a saved library: the PSS in MB before
+#: and after one served generation build (``null`` without ``/proc``).
+_PSS_PROBE = """
+import gc, json, sys
+import repro.core.vectorized, scipy.sparse  # imports are not build cost
+from repro.core import IncrementalGoalModel
+from repro.core.caching import build_served_view
+from repro.storage import JsonLibraryStore
+
+def pss_mb():
+    try:
+        with open("/proc/self/smaps_rollup") as rollup:
+            for line in rollup:
+                if line.startswith("Pss:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        return None
+
+log = IncrementalGoalModel.from_library(JsonLibraryStore(sys.argv[1]).load())
+gc.collect()
+before = pss_mb()
+view = build_served_view(log)
+gc.collect()
+print(json.dumps([before, pss_mb()]))
+"""
+
+
+def _served_build_pss_mb(library_path: Path) -> float | None:
+    """PSS one ``build_served_view`` retains in a fresh process, or
+    ``None`` where ``/proc/self/smaps_rollup`` is absent."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", _PSS_PROBE, str(library_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    before, after = json.loads(result.stdout)
+    if before is None or after is None:
+        return None
+    return after - before
+
+
 @pytest.fixture(scope="module")
 def library():
     return generate_foodmart(CONFIG, seed=SEED).library
@@ -77,7 +134,7 @@ def model(library) -> AssociationGoalModel:
     return AssociationGoalModel.from_library(library)
 
 
-def test_engine_build(library, model):
+def test_engine_build(library, model, tmp_path):
     build_ms, engine = _median_ms(lambda: BatchRecommender(model))
 
     # A served generation's build from the mutation log, old and new.
@@ -120,6 +177,11 @@ def test_engine_build(library, model):
         np.testing.assert_array_equal(got_cols, want_cols)
         np.testing.assert_array_equal(got_vals, want_vals)
 
+    array_mb = sum(array.nbytes for array in new_arrays.values()) / 2**20
+    library_path = tmp_path / "library.json"
+    JsonLibraryStore(library_path).save(library)
+    retained_mb = _served_build_pss_mb(library_path)
+
     table = format_table(
         ["quantity", "value"],
         [
@@ -137,6 +199,11 @@ def test_engine_build(library, model):
             ["  + BatchRecommender(interned) ms", f"{interned_build_ms:.1f}"],
             ["  = served generation build ms", f"{intern_ms + interned_build_ms:.1f}"],
             ["export_arrays() equal in value and dtype", "yes"],
+            ["engine export_arrays() MB", f"{array_mb:.1f}"],
+            [
+                "served generation build: PSS retained MB (fresh process)",
+                "n/a" if retained_mb is None else f"{retained_mb:.1f}",
+            ],
         ],
         title=(
             "Engine build on a FoodMart-shaped model "

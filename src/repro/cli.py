@@ -558,10 +558,13 @@ def _cmd_serve(args: argparse.Namespace, block: bool = True) -> int:
         return 2
     # The retrying wrapper absorbs transient load failures (a writer
     # mid-replace, an injected storage fault) with deterministic backoff.
-    library = RetryingLibraryStore(JsonLibraryStore(args.library)).load()
     # The served generations are built from this mutation log; no
-    # AssociationGoalModel is built.
-    log = IncrementalGoalModel.from_library(library)
+    # AssociationGoalModel is built.  The log keeps the loaded library's
+    # implementations, and nothing holds the library itself for the
+    # server's lifetime.
+    log = IncrementalGoalModel.from_library(
+        RetryingLibraryStore(JsonLibraryStore(args.library)).load()
+    )
     if log.num_implementations == 0:
         raise ModelError("cannot build a model from zero implementations")
     workers = getattr(args, "workers", 1)

@@ -15,7 +15,8 @@ Three pieces live here:
 - :class:`CachedModelView` — a generation's CSR engine presented as the
   whole :class:`~repro.core.protocols.ModelView` surface, answered from the
   engine's arrays and label tables; :func:`build_served_view` builds one
-  from the mutation log;
+  from the mutation log and hands the build's freed scratch back to the
+  OS (:func:`trim_heap`);
 - :class:`CachingRecommender` — a :class:`~repro.core.recommender.GoalRecommender`
   wrapper that consults the recommendation LRU before ranking.
 
@@ -33,9 +34,11 @@ produced — bit-identical by construction (asserted in the parity suite).
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
@@ -478,8 +481,69 @@ def build_served_view(log: IncrementalGoalModel) -> CachedModelView:
     generation's CSR engine from the label tables and id-sorted rows, and
     wraps it.  No :class:`~repro.core.model.AssociationGoalModel` is
     built.  The log must hold at least one live implementation.
+
+    Every generation build ends with one :func:`trim_heap`, which hands
+    the build's freed scratch back to the OS.  Inside a
+    :func:`trim_after` block (a hot swap, which builds under the model's
+    write lock) the trim runs when the block ends instead.
     """
-    return CachedModelView(intern_library(log.implementations()))
+    view = CachedModelView(intern_library(log.implementations()))
+    if getattr(_TRIM_DEFERRED, "pending", None) is None:
+        trim_heap()
+    else:
+        _TRIM_DEFERRED.pending = True
+    return view
+
+
+def _find_malloc_trim() -> Callable[[int], int] | None:
+    """glibc's ``malloc_trim``, or ``None`` where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+#: Set (to whether a build is waiting for its trim) inside a
+#: :func:`trim_after` block on this thread.
+_TRIM_DEFERRED = threading.local()
+
+
+def trim_heap() -> None:
+    """Return the heap pages a generation build freed to the OS.
+
+    After the first large NumPy or SciPy temporary is freed, glibc raises
+    its dynamic mmap threshold, so the build's later temporaries (the
+    ``MᵀM`` product, the sort keys) come from the heap, whose freed pages
+    stay resident: 28.6 MB on a dense 12K-recipe library
+    (docs/performance.md, "Served-process memory").  ``malloc_trim(0)``
+    releases them in about 1 ms.  A no-op where the C library has no
+    ``malloc_trim``.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+@contextmanager
+def trim_after() -> Iterator[None]:
+    """Hold back the :func:`trim_heap` of every :func:`build_served_view`
+    in the block; trim once when the block ends, if one was built.
+
+    Entered outside a lock the block then takes, it keeps the trim out of
+    that lock.  Not reentrant.
+    """
+    _TRIM_DEFERRED.pending = False
+    try:
+        yield
+    finally:
+        built = _TRIM_DEFERRED.pending
+        del _TRIM_DEFERRED.pending
+        if built:
+            trim_heap()
 
 
 class CachingRecommender:

@@ -50,12 +50,30 @@ class IncrementalGoalModel:
         self._next_impl_id = 0
 
     @classmethod
-    def from_library(cls, library: ImplementationLibrary) -> "IncrementalGoalModel":
-        """Seed a log from an existing library."""
+    def from_library(
+        cls, library: Iterable[GoalImplementation]
+    ) -> "IncrementalGoalModel":
+        """Seed a log from an existing library.
+
+        An :class:`ImplementationLibrary` is duplicate-free and numbered
+        0, 1, 2, ... in order, so each implementation's ``impl_id`` is the
+        id the log assigns it: the log keeps the library's own
+        :class:`GoalImplementation` instead of building a second copy.
+        One that does not line up (a duplicate, or another id) is added
+        as a new implementation.
+        """
         model = cls()
         for impl in library:
-            model.add_implementation(impl.goal, impl.actions)
+            model._adopt(impl)
         return model
+
+    def _adopt(self, impl: GoalImplementation) -> None:
+        """Make ``impl`` itself live if its id and labels line up."""
+        key = (impl.goal, impl.actions)
+        if impl.impl_id == self._next_impl_id and key not in self._dedup:
+            self._record(key, impl)
+        else:
+            self.add_implementation(impl.goal, impl.actions)
 
     def add_implementation(
         self, goal: GoalLabel, actions: Iterable[ActionLabel]
@@ -72,9 +90,17 @@ class IncrementalGoalModel:
         existing = self._dedup.get(key)
         if existing is not None:
             return existing
+        return self._record(
+            key, GoalImplementation(goal=goal, actions=labels, impl_id=self._next_impl_id)
+        )
+
+    def _record(
+        self, key: tuple[GoalLabel, frozenset[ActionLabel]], impl: GoalImplementation
+    ) -> int:
+        """Make ``impl``, numbered with the next id, live under ``key``."""
         pid = self._next_impl_id
         self._next_impl_id += 1
-        self._live[pid] = GoalImplementation(goal=goal, actions=labels, impl_id=pid)
+        self._live[pid] = impl
         self._dedup[key] = pid
         return pid
 

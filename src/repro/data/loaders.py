@@ -31,10 +31,19 @@ def library_to_dict(library: ImplementationLibrary) -> dict:
 
 def library_from_dict(payload: dict) -> ImplementationLibrary:
     """Deserialize a library produced by :func:`library_to_dict`."""
+    if not isinstance(payload, dict):
+        raise DataError(
+            f"library payload must be an object, not {type(payload).__name__}"
+        )
     try:
-        rows = payload["implementations"]
+        rows = iter(payload["implementations"])
     except KeyError:
         raise DataError("library payload missing 'implementations'") from None
+    except TypeError:
+        raise DataError(
+            "library 'implementations' must be a list, not "
+            f"{type(payload['implementations']).__name__}"
+        ) from None
     library = ImplementationLibrary()
     for row in rows:
         try:

@@ -178,6 +178,7 @@ from repro.core.caching import (
     CachingRecommender,
     LRUCache,
     build_served_view,
+    trim_after,
 )
 from repro.core.entities import ActionLabel, GoalLabel, RecommendationList
 from repro.core.goal_inference import SCORERS
@@ -682,7 +683,8 @@ class ModelManager:
         control thread calls it with the parent's broadcast, so each
         process's log replays the identical mutation sequence.
         """
-        with self._lock.write_locked():
+        # The generation's heap trim runs after the write lock is released.
+        with trim_after(), self._lock.write_locked():
             ids: list[int] = []
             try:
                 for goal, actions in pairs:
@@ -709,7 +711,7 @@ class ModelManager:
         """Apply one removal to the local model (see
         :meth:`apply_add_implementations` for the single- vs multi-worker
         split)."""
-        with self._lock.write_locked():
+        with trim_after(), self._lock.write_locked():
             self._log.remove_implementation(pid)
             return self._swap_locked("remove")
 

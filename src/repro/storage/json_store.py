@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from pathlib import Path
+from typing import Any
 
 from repro.core.library import ImplementationLibrary
 from repro.data.loaders import library_from_dict, library_to_dict
@@ -53,13 +55,32 @@ class JsonLibraryStore(LibraryStore):
             os.close(fd)
 
     def load(self) -> ImplementationLibrary:
+        """Load the library, holding one ``str`` per label.
+
+        ``json.load`` decodes a fresh ``str`` for every occurrence of a
+        label: on a dense library, one per (implementation, action) pair.
+        An ``object_hook`` turns each row's ``actions`` into the frozenset
+        its :class:`~repro.core.entities.GoalImplementation` keeps, through
+        one memo for the whole document, and shares the row's ``goal`` the
+        same way, so each label is held once (the paper's ``A-idx`` and
+        ``G-idx`` interning, done while the rows are decoded).  A file with
+        a non-string label is decoded again without the memo: ``1``,
+        ``1.0`` and ``true`` are equal keys, and sharing would swap one
+        for another.  Every unreadable or malformed file raises
+        :class:`StorageError`, invalid UTF-8 and a document of the wrong
+        shape included.
+        """
         inject("storage")
         if not self.path.exists():
             raise StorageError(f"no library saved at {self.path}")
+        labels: dict[object, object] = {}
         try:
             with self.path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+                text = handle.read()
+            payload = json.loads(text, object_hook=partial(_share_labels, labels))
+            if any(type(label) is not str for label in labels):
+                payload = json.loads(text)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StorageError(f"cannot load library from {self.path}: {exc}") from exc
         try:
             return library_from_dict(payload)
@@ -68,3 +89,24 @@ class JsonLibraryStore(LibraryStore):
 
     def exists(self) -> bool:
         return self.path.exists()
+
+
+def _share_labels(labels: dict[object, object], row: dict[str, Any]) -> dict[str, Any]:
+    """``object_hook`` of :meth:`JsonLibraryStore.load`: give an
+    implementation row shared labels and its action frozenset.
+
+    Any other object, or a row whose fields are missing or unhashable,
+    is returned untouched; :func:`library_from_dict` reports it.  For a
+    row it does convert, ``frozenset(row["actions"])`` there returns the
+    same object, so nothing is built twice.
+    """
+    try:
+        actions = row["actions"]
+        goal = row["goal"]
+        shared = frozenset(map(labels.setdefault, actions, actions))
+        goal = labels.setdefault(goal, goal)
+    except (KeyError, TypeError):
+        return row
+    row["actions"] = shared
+    row["goal"] = goal
+    return row

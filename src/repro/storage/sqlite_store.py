@@ -146,10 +146,22 @@ class SqliteLibraryStore(LibraryStore):
             raise StorageError(f"cannot save library: {exc}") from exc
 
     def load(self) -> ImplementationLibrary:
+        """Load the library, holding one ``str`` per label.
+
+        SQLite hands back a fresh ``str`` for every row, so without care
+        each action label is held once per implementation containing it.
+        The rows are read from the cursor one at a time, never all at once,
+        and every label passes through one memo.
+        """
         inject("storage")
         connection = self._connect()
+        labels: dict[str, str] = {}
+        library = ImplementationLibrary()
+        current_impl: int | None = None
+        current_goal = ""
+        current_actions: list[str] = []
         try:
-            rows = connection.execute(
+            for impl_id, goal, action in connection.execute(
                 """
                 SELECT i.id, g.label, a.label
                 FROM implementations i
@@ -158,23 +170,18 @@ class SqliteLibraryStore(LibraryStore):
                 JOIN actions a ON a.id = ia.action_id
                 ORDER BY i.id, a.id
                 """
-            ).fetchall()
+            ):
+                if impl_id != current_impl:
+                    if current_impl is not None:
+                        library.add_pair(current_goal, current_actions)
+                    current_impl = impl_id
+                    current_goal = labels.setdefault(goal, goal)
+                    current_actions = []
+                current_actions.append(labels.setdefault(action, action))
         except sqlite3.Error as exc:
             raise StorageError(f"cannot load library: {exc}") from exc
-        if not rows:
+        if current_impl is None:
             raise StorageError(f"no library saved at {self.path}")
-        library = ImplementationLibrary()
-        current_impl: int | None = None
-        current_goal = ""
-        current_actions: list[str] = []
-        for impl_id, goal, action in rows:
-            if impl_id != current_impl:
-                if current_impl is not None:
-                    library.add_pair(current_goal, current_actions)
-                current_impl = impl_id
-                current_goal = goal
-                current_actions = []
-            current_actions.append(action)
         library.add_pair(current_goal, current_actions)
         return library
 

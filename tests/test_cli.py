@@ -193,6 +193,13 @@ class TestServe:
         )
         assert code == 2
 
+    def test_serve_malformed_library_errors(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code = main(["serve", "--library", str(path), "--port", "0"])
+        assert code == 2
+        assert "error: library payload must be an object" in capsys.readouterr().err
+
     def test_approx_budget_flag_parses_with_default(self, library_path):
         from repro.cli import _build_parser
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     AssociationGoalModel,
+    GoalImplementation,
     GoalRecommender,
     IncrementalGoalModel,
 )
@@ -133,6 +134,28 @@ class TestFreeze:
         assert [(i.goal, i.actions) for i in exported] == [
             (i.goal, i.actions) for i in recipe_library
         ]
+
+    def test_from_library_keeps_the_librarys_implementations(self, recipe_library):
+        incremental = IncrementalGoalModel.from_library(recipe_library)
+        for impl in recipe_library:
+            assert incremental.implementation(impl.impl_id) is impl
+
+    def test_from_library_renumbers_what_does_not_line_up(self):
+        first = GoalImplementation("g", frozenset({"a"}), impl_id=0)
+        unnumbered = GoalImplementation("h", frozenset({"b"}))
+        duplicate = GoalImplementation("g", frozenset({"a"}), impl_id=2)
+        misnumbered = GoalImplementation("k", frozenset({"c"}), impl_id=7)
+        incremental = IncrementalGoalModel.from_library(
+            [first, unnumbered, duplicate, misnumbered]
+        )
+        assert incremental.live_implementation_ids() == [0, 1, 2]
+        assert incremental.implementation(0) is first
+        assert incremental.implementation(1) == GoalImplementation(
+            "h", frozenset({"b"}), impl_id=1
+        )
+        assert incremental.implementation(2) == GoalImplementation(
+            "k", frozenset({"c"}), impl_id=2
+        )
 
 
 class TestMisc:

@@ -8,6 +8,11 @@ the parent's engine zero-copy from the arena.  None of them constructs an
 reference oracle.  ``AssociationGoalModel.__init__`` is spied on directly,
 and ``repro_model_build_seconds`` (recorded by every
 ``AssociationGoalModel.from_library`` while metrics are on) must not move.
+
+Every generation build ends with one ``malloc_trim(0)``
+(:func:`~repro.core.caching.trim_heap`), run after the write lock on a
+swap; and a library loaded with shared label strings builds exactly the
+engine a plain ``json.load`` does.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import AssociationGoalModel, IncrementalGoalModel
-from repro.core.caching import CachedModelView, build_served_view
+from repro.core import AssociationGoalModel, IncrementalGoalModel, caching
+from repro.core.caching import CachedModelView, build_served_view, trim_heap
+from repro.data.loaders import library_from_dict
+from repro.exceptions import ModelError
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ModelManager, RecommenderService
 from repro.serving import workers
+from repro.storage import JsonLibraryStore
 
 PAIRS = [
     ("olivier salad", {"potatoes", "carrots", "pickles"}),
@@ -222,3 +230,99 @@ class TestWorkerBootstrap:
                 signal.signal(sig, handler)
             arena._shm.unlink()  # the worker marked its copy inherited
             parent_conn.close()
+
+
+class TestTrimHeap:
+    def test_is_a_noop_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(caching, "_MALLOC_TRIM", None)
+        assert trim_heap() is None
+        assert build_served_view(log_of(PAIRS)).num_implementations == len(PAIRS)
+
+    def test_calls_malloc_trim_with_zero(self, monkeypatch):
+        calls: list[int] = []
+        monkeypatch.setattr(caching, "_MALLOC_TRIM", calls.append)
+        trim_heap()
+        assert calls == [0]
+
+
+@pytest.fixture
+def trims(monkeypatch):
+    """One entry per ``trim_heap`` call: whether a manager's write lock was
+    held at the time (``None`` before a service exists)."""
+    calls: list[bool | None] = []
+    services: list[RecommenderService] = []
+
+    def spy() -> None:
+        calls.append(
+            services[0].manager._lock._writer_active if services else None
+        )
+
+    monkeypatch.setattr(caching, "trim_heap", spy)
+    return calls, services
+
+
+class TestOneTrimPerGenerationBuild:
+    def test_start_up_put_and_delete(self, trims):
+        calls, services = trims
+        service = RecommenderService(log_of(PAIRS), port=0, history_enabled=False)
+        services.append(service)
+        service.start()
+        try:
+            assert calls == [None]
+            status, body = call(service, "/model/implementations", {
+                "implementations": [{"goal": "leek soup", "actions": ["leek"]}],
+            }, method="PUT")
+            assert status == 200 and body["generation"] == 1
+            # After the swap's write lock was released.
+            assert calls == [None, False]
+            (pid,) = body["added"]
+            status, body = call(
+                service, f"/model/implementations/{pid}", method="DELETE"
+            )
+            assert status == 200 and body["generation"] == 2
+            assert calls == [None, False, False]
+            # Reads build nothing.
+            status, _ = call(
+                service, "/recommend", {"activity": ["potatoes"], "k": 3}
+            )
+            assert status == 200
+            assert calls == [None, False, False]
+        finally:
+            service.stop()
+
+    def test_a_failed_delete_builds_and_trims_nothing(self, trims):
+        calls, _ = trims
+        service = RecommenderService(log_of(PAIRS), port=0, history_enabled=False)
+        try:
+            with pytest.raises(ModelError, match="no live implementation"):
+                service.manager.remove_implementation(99)
+            assert calls == [None]
+        finally:
+            service.stop()
+
+    def test_pool_parent_arena_build(self, trims):
+        calls, _ = trims
+        arena, labels = workers._build_arena(log_of(PAIRS))
+        assert arena is not None
+        arena.close()
+        assert calls == [None]
+
+
+def test_shared_labels_build_the_same_engine(tmp_path, foodmart_tiny):
+    path = tmp_path / "lib.json"
+    JsonLibraryStore(path).save(foodmart_tiny.library)
+    shared = JsonLibraryStore(path).load()
+    plain = library_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    assert [(i.goal, i.actions) for i in shared] == [
+        (i.goal, i.actions) for i in plain
+    ]
+    want = build_served_view(IncrementalGoalModel.from_library(plain))
+    got = build_served_view(IncrementalGoalModel.from_library(shared))
+    want_arrays = want.csr_engine().export_arrays()
+    got_arrays = got.csr_engine().export_arrays()
+    assert got_arrays.keys() == want_arrays.keys()
+    for name, array in want_arrays.items():
+        assert got_arrays[name].dtype == array.dtype, name
+        np.testing.assert_array_equal(got_arrays[name], array, err_msg=name)
+    assert got.labels.actions == want.labels.actions
+    assert got.labels.goals == want.labels.goals

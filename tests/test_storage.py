@@ -1,5 +1,7 @@
 """Unit tests for the JSON and SQLite library stores."""
 
+import json
+
 import pytest
 
 from repro.core import AssociationGoalModel, ImplementationLibrary
@@ -32,6 +34,53 @@ class TestJsonStore:
         path.write_text("{broken")
         with pytest.raises(StorageError, match="cannot load"):
             JsonLibraryStore(path).load()
+
+    def test_invalid_utf8_raises(self, tmp_path):
+        path = tmp_path / "lib.json"
+        path.write_bytes(b'{"implementations": [{"goal": "\xff", "actions": ["a"]}]}')
+        with pytest.raises(StorageError, match="cannot load"):
+            JsonLibraryStore(path).load()
+
+    def test_implementations_not_a_list_raises(self, tmp_path):
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps({"implementations": 5}))
+        with pytest.raises(StorageError, match="must be a list"):
+            JsonLibraryStore(path).load()
+
+    def test_top_level_list_raises(self, tmp_path):
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps([{"goal": "g", "actions": ["a"]}]))
+        with pytest.raises(StorageError, match="must be an object"):
+            JsonLibraryStore(path).load()
+
+    def test_unhashable_action_raises(self, tmp_path):
+        path = tmp_path / "lib.json"
+        path.write_text(
+            json.dumps({"implementations": [{"goal": "g", "actions": [["a"]]}]})
+        )
+        with pytest.raises(StorageError, match="malformed"):
+            JsonLibraryStore(path).load()
+
+    def test_non_string_labels_keep_their_type(self, tmp_path):
+        # 1 == 1.0 == True as dict keys: a shared label would swap them.
+        path = tmp_path / "lib.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "implementations": [
+                        {"goal": "g", "actions": [True, "x"]},
+                        {"goal": "h", "actions": [1, "y"]},
+                        {"goal": 1.0, "actions": ["z"]},
+                    ]
+                }
+            )
+        )
+        rows = [
+            (impl.goal, sorted(map(repr, impl.actions)))
+            for impl in JsonLibraryStore(path).load()
+        ]
+        assert rows == [("g", ["'x'", "True"]), ("h", ["'y'", "1"]), (1.0, ["'z'"])]
+        assert type(rows[2][0]) is float
 
     def test_save_overwrites(self, tmp_path, recipe_library):
         store = JsonLibraryStore(tmp_path / "lib.json")
@@ -169,3 +218,27 @@ class TestSqliteRanking:
 
     def test_closest_empty_activity(self, store):
         assert store.closest_implementations_sql([], k=3) == []
+
+
+@pytest.fixture(params=["json", "sqlite"])
+def any_store(request, tmp_path):
+    if request.param == "json":
+        yield JsonLibraryStore(tmp_path / "lib.json")
+    else:
+        with SqliteLibraryStore(tmp_path / "lib.db") as store:
+            yield store
+
+
+def test_equal_labels_are_one_object(any_store):
+    library = ImplementationLibrary()
+    library.add_pair("salad", {"tomato", "cucumber", "oil"})
+    library.add_pair("salad", {"tomato", "lettuce", "oil"})
+    library.add_pair("soup", {"tomato", "onion"})
+    any_store.save(library)
+    loaded = any_store.load()
+    assert pairs(loaded) == pairs(library)
+    shared: dict[str, str] = {}
+    for impl in loaded:
+        for label in (impl.goal, *impl.actions):
+            assert shared.setdefault(label, label) is label
+    assert len(shared) == 7
