@@ -43,8 +43,11 @@ keeps no matrix object.  With ``H`` a user's activity:
 
 Every request, single or batched, gathers only the rows the activity
 touches, so per-request cost tracks ``|IS(H)|`` — the same asymptotics as
-the reference strategies, minus the Python interpreter.  Top-``k``
-selection is partial (:mod:`repro.core.topk`), not a full sort.
+the reference strategies, minus the Python interpreter.  (A Best Match
+read whose candidate rows hold a large share of ``C`` sweeps ``C`` once
+instead, which costs less than gathering them.)  Top-``k`` selection is
+partial (:mod:`repro.core.topk`), not a full sort, and a Focus walk
+over many implementations ranks only the prefix it consumes.
 
 Results are bit-identical to the reference strategies and functions
 (asserted in the test suite), including the deterministic tie-breaking:
@@ -56,7 +59,7 @@ distance matches the reference formula.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 from typing import Protocol, TypeVar
 
@@ -84,6 +87,15 @@ _STRATEGIES = ("breadth", "focus_cmp", "focus_cl", "best_match")
 #: stable ``argsort`` over the (id-ascending) candidates is cheaper than
 #: the partition's extra array passes.
 _PARTITION_CUTOVER = 4096
+
+#: The Focus walk's first window holds ``max(2 * k, _FIRST_WINDOW)``
+#: implementations; a walk that runs past it widens the ranked prefix.
+_FIRST_WINDOW = 16
+
+#: Best Match sums the candidates' rows of ``C`` by one sweep over all of
+#: ``C`` once those rows hold more than this share of its entries, and by
+#: gathering them below it.
+_SWEEP_SHARE = 0.25
 
 _Label = TypeVar("_Label")
 
@@ -146,6 +158,32 @@ def _gather_positions(
         + np.repeat(starts, lengths)
     )
     return positions, lengths
+
+
+def _ranked_windows(
+    ids: np.ndarray, scores: np.ndarray, chunk: int
+) -> Iterator[np.ndarray]:
+    """Positions of ``(ids, scores)`` ranked by ``(-score, id)``, in windows.
+
+    ``ids`` must be ascending, so within a tie group the input order is
+    the id order.  Up to :data:`_PARTITION_CUTOVER` candidates, one stable
+    argsort on the negated scores ranks them all and the windows are
+    ``chunk`` long.  Above it, :func:`~repro.core.topk.top_k_positions`
+    ranks a prefix of ``chunk`` positions, and each further window doubles
+    the prefix and yields its unseen part: a consumer that stops early
+    pays for a partial selection instead of a full sort.  Either way the
+    windows concatenate to the full ranking, since every prefix of a total
+    order is that order's top-``n``.
+    """
+    if ids.size <= _PARTITION_CUTOVER:
+        order = np.argsort(-scores, kind="stable")
+        for start in range(0, order.size, chunk):
+            yield order[start:start + chunk]
+        return
+    done, width = 0, chunk
+    while done < ids.size:
+        yield top_k_positions(ids, scores, width)[done:]
+        done, width = width, 2 * width
 
 
 def _frequency_order(
@@ -332,22 +370,35 @@ class BatchRecommender:
 
     def _overlap_counts(
         self, activity: frozenset[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(activity_ids, touched_pids, overlaps)`` via posting lists.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(touched_pids, overlaps)`` via posting lists, pids ascending.
 
         Gathers the ``A-GI`` posting list of every activity action and
         counts multiplicities: an implementation appearing ``c`` times
         shares exactly ``c`` actions with ``H``.  Cost is proportional to
-        the posting mass of the activity, not to the model size.
+        the posting mass of the activity, not to the model size.  The
+        concatenation is a fresh array, so it is sorted in place, and run
+        boundaries give both the pids and their (integer) overlaps.
         """
-        act = self._activity_array(activity)
         if not activity:
-            return act, np.empty(0, dtype=np.int64), np.empty(0)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         touched = np.concatenate([self._post_rows[a] for a in activity])
-        if touched.size == 0:
-            return act, np.empty(0, dtype=np.int64), np.empty(0)
-        pids, counts = np.unique(touched, return_counts=True)
-        return act, pids, counts.astype(np.float64)
+        size = touched.size
+        if size == 0:
+            return touched, touched
+        touched.sort()
+        boundary = np.empty(size, dtype=bool)
+        boundary[0] = True
+        np.not_equal(touched[1:], touched[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        # Each run ends where the next starts; ``np.diff(starts,
+        # append=size)`` computes the same with several microseconds of
+        # argument handling, a sizeable share of a sparse request.
+        overlaps = np.empty(starts.size, dtype=np.int64)
+        overlaps[:-1] = starts[1:]
+        overlaps[-1] = size
+        overlaps -= starts
+        return touched[starts], overlaps
 
     @staticmethod
     def _build_cooccurrence(
@@ -380,18 +431,13 @@ class BatchRecommender:
     def _ranked_pairs(
         ids: np.ndarray, scores: np.ndarray, k: int
     ) -> list[tuple[int, float]]:
-        """Top-``k`` ``(id, score)`` pairs; ``ids`` must be ascending.
+        """Top-``k`` ``(id, score)`` pairs of non-empty, ascending ``ids``.
 
-        Every engine call site passes ids straight out of ``np.unique`` /
-        ``np.flatnonzero``, so within a tie group the input order already
-        *is* the contract's ascending-id order — a single stable argsort on
-        the negated scores reproduces the full ``(-score, id)`` lexsort.
-        Large candidate sets go through the partial-selection path instead.
+        Every engine call site passes ids straight out of
+        ``np.flatnonzero``, so the first ``k``-long window of
+        :func:`_ranked_windows` is the ranking's top ``k``.
         """
-        if ids.size > _PARTITION_CUTOVER:
-            ranked = top_k_positions(ids, scores, k)
-        else:
-            ranked = np.argsort(-scores, kind="stable")[:k]
+        ranked = next(_ranked_windows(ids, scores, k))
         return list(zip(ids[ranked].tolist(), scores[ranked].tolist()))
 
     # ------------------------------------------------------------------
@@ -426,17 +472,14 @@ class BatchRecommender:
             weights=np.concatenate(val_parts),
             minlength=self.num_actions,
         )
-        # Candidates are AS(H) − H: every reached action has a positive
-        # co-occurrence count, so zeroing H and keeping the positive
-        # touched columns is the candidate mask.
+        # Candidates are AS(H) − H: every co-occurrence count is positive,
+        # so after zeroing H the positive scores are exactly the reached
+        # columns outside H, already in ascending id order.
         scores[list(activity)] = 0.0
-        candidates = np.unique(sub_cols)
-        cand_scores = scores[candidates]
-        keep = cand_scores > 0.0
-        candidates = candidates[keep]
+        candidates = np.flatnonzero(scores > 0.0)
         if candidates.size == 0:
             return []
-        return self._ranked_pairs(candidates, cand_scores[keep], k)
+        return self._ranked_pairs(candidates, scores[candidates], k)
 
     def pruned_breadth_rank(
         self, activity: frozenset[int], k: int, budget: int
@@ -460,25 +503,14 @@ class BatchRecommender:
 
         Implementation scores are computed over the gathered posting lists
         (cost tracks ``|IS(H)|``); the list-filling walk over ranked
-        implementations matches the reference algorithm.
+        implementations matches the reference algorithm.  The walk reads
+        the ranking window by window (:func:`_ranked_windows`), so above
+        :data:`_PARTITION_CUTOVER` touched implementations it ranks only
+        the prefix it consumes instead of sorting them all.
         """
-        if not activity:
+        pids, counts = self._overlap_counts(activity)
+        if pids.size == 0:
             return []
-        touched = np.concatenate([self._post_rows[a] for a in activity])
-        size = touched.size
-        if size == 0:
-            return []
-        # Inlined ``np.unique(touched, return_counts=True)``: the
-        # concatenation is a fresh array, so the sort runs in place, and
-        # run boundaries give both the unique pids and their overlap
-        # counts with fewer temporary passes.
-        touched.sort()
-        boundary = np.empty(size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(touched[1:], touched[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        pids = touched[starts]
-        counts = np.diff(starts, append=size)
         lengths = self._impl_lengths[pids]
         # Every touched implementation has overlap >= 1; the ones with
         # *full* overlap (not recommendable) score exactly 1.0 under
@@ -496,19 +528,15 @@ class BatchRecommender:
             # a division warning would cost.  Real scores are untouched.
             scores = 1.0 / np.maximum(lengths - counts, 0.5)
             full = 2.0
-        # ``pids`` is ascending, so a stable sort on the negated scores
-        # equals the reference's ``(-score, pid)`` lexsort.
-        order = np.argsort(-scores, kind="stable")
         # The walk usually consumes a handful of implementations before
-        # filling ``k``, so it materializes the ranked prefix chunk by
-        # chunk, and each visited implementation's actions (its id-sorted
-        # row of ``M``) as one small list.
+        # filling ``k``, so it materializes the ranking window by window,
+        # and each visited implementation's actions (its id-sorted row of
+        # ``M``) as one small list.
         indptr, indices = self._m_indptr, self._m_indices
         result: list[tuple[int, float]] = []
         seen: set[int] = set()
-        chunk = max(2 * k, 16)
-        for start in range(0, order.size, chunk):
-            window = order[start:start + chunk]
+        chunk = max(2 * k, _FIRST_WINDOW)
+        for window in _ranked_windows(pids, scores, chunk):
             for pid, score in zip(
                 pids[window].tolist(), scores[window].tolist()
             ):
@@ -528,46 +556,41 @@ class BatchRecommender:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(candidate_ids, -distance)`` arrays for the Best Match ranking.
 
-        Works entirely on gathered CSR rows: the goal profile is a bincount
-        over the touched implementations' goals, and each candidate's dot
-        product / squared norm over the goal space comes from its row of
-        ``C`` — the profile vector is zero outside ``GS(H)``, which
-        restricts the dot product exactly like the reference's axis
-        projection.  All accumulations are integer-valued (exact in
-        float64) and the distance applies the reference's single
-        ``sqrt(norm_u * norm_v)``, so scores are bit-identical to
+        The candidates ``AS(H) − H`` come from the activity's co-occurrence
+        rows (:meth:`_action_mask`), which reach exactly the actions of
+        the rows of ``M`` that ``IS(H)`` touches.  The goal profile is a
+        bincount over the touched implementations' goals, and each
+        candidate's dot product / squared norm over the goal space comes
+        from its row of ``C`` (:meth:`_goal_products`) — the profile
+        vector is zero outside ``GS(H)``, which restricts the dot product
+        exactly like the reference's axis projection.  All accumulations
+        are integer-valued (exact in float64) and the distance applies the
+        reference's single ``sqrt(norm_u * norm_v)``, so scores are
+        bit-identical to
         :class:`~repro.core.strategies.best_match.BestMatchStrategy`.
         """
-        act, pids, overlaps = self._overlap_counts(activity)
+        pids, overlaps = self._overlap_counts(activity)
         empty = np.empty(0, dtype=np.int64), np.empty(0)
         if pids.size == 0:
             return empty
-        positions, _ = _gather_positions(self._m_indptr, pids)
-        reach = np.unique(self._m_indices[positions])
-        candidates = reach[~np.isin(reach, act)]
+        reach = self._action_mask(activity)
+        reach[list(activity)] = False
+        candidates = np.flatnonzero(reach)
         if candidates.size == 0:
             return empty
         touched_goals = self._goal_of_impl[pids]
         profile = np.bincount(
             touched_goals, weights=overlaps, minlength=self.num_goals
         )
-        profile_norm_sq = float(profile @ profile)
+        # Not ``profile @ profile``: issued between other array work, that
+        # OpenBLAS dot wakes its thread pool, and with the second core of
+        # a 2-vCPU host busy it took a 0.9 ms median (5 ms p90) instead of
+        # 15 µs.  The squares are integers, so any summation order gives
+        # the same sum.
+        profile_norm_sq = float(np.square(profile).sum())
         gs_indicator = np.zeros(self.num_goals)
         gs_indicator[touched_goals] = 1.0
-        c_positions, c_lengths = _gather_positions(self._c_indptr, candidates)
-        c_goals = self._c_indices[c_positions]
-        c_counts = self._c_data[c_positions]
-        row_ids = np.repeat(np.arange(candidates.size), c_lengths)
-        dots = np.bincount(
-            row_ids,
-            weights=c_counts * profile[c_goals],
-            minlength=candidates.size,
-        )
-        norms_sq = np.bincount(
-            row_ids,
-            weights=(c_counts * c_counts) * gs_indicator[c_goals],
-            minlength=candidates.size,
-        )
+        dots, norms_sq = self._goal_products(candidates, profile, gs_indicator)
         with np.errstate(divide="ignore", invalid="ignore"):
             # One sqrt of the product, exactly like the reference
             # ``cosine_distance`` — ``sqrt(a) * sqrt(b)`` differs from
@@ -579,6 +602,79 @@ class BatchRecommender:
             scores[degenerate] = -1.0
         return candidates, scores
 
+    def _goal_products(
+        self, rows: np.ndarray, profile: np.ndarray, gs_indicator: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per ascending row ``a`` of ``C``: ``Σ_g C[a, g]·profile[g]`` and
+        ``Σ_g C[a, g]²·gs_indicator[g]``.
+
+        Rows holding at most :data:`_SWEEP_SHARE` of ``C``'s entries are
+        gathered (:func:`_gather_positions`) and summed per row with
+        ``bincount``.  Above that — the dense regime, where ``AS(H)``
+        spans most of the catalog — one sweep over ``C`` costs less: the
+        per-entry terms go into a single ``C``-sized scratch array, and
+        one ``np.add.reduceat`` over the rows' interleaved ``[start,
+        end)`` bounds sums each row (the odd segments, between one row's
+        end and the next row's start, are discarded).  Every term is an
+        integer, so both paths' sums are exact and equal.
+        """
+        indptr, goals, counts = self._c_indptr, self._c_indices, self._c_data
+        starts = indptr[rows]
+        ends = indptr[rows + 1]
+        if int((ends - starts).sum()) <= _SWEEP_SHARE * counts.size:
+            positions, lengths = _gather_positions(indptr, rows)
+            row_goals = goals[positions]
+            row_counts = counts[positions]
+            row_ids = np.repeat(np.arange(rows.size), lengths)
+            dots = np.bincount(
+                row_ids,
+                weights=row_counts * profile[row_goals],
+                minlength=rows.size,
+            )
+            norms_sq = np.bincount(
+                row_ids,
+                weights=(row_counts * row_counts) * gs_indicator[row_goals],
+                minlength=rows.size,
+            )
+            return dots, norms_sq
+        bounds = np.empty(2 * rows.size, dtype=np.int64)
+        bounds[0::2] = starts
+        bounds[1::2] = ends
+        # A trailing zero keeps an end bound equal to C's size a valid
+        # reduceat index.  Every goal id is in range, so ``mode="clip"``
+        # changes nothing but spares ``take`` the buffered copy that the
+        # default ``"raise"`` makes when writing into ``out``.
+        scratch = np.empty(counts.size + 1)
+        scratch[-1] = 0.0
+        terms = scratch[:-1]
+        np.take(profile, goals, out=terms, mode="clip")
+        terms *= counts
+        dots = np.add.reduceat(scratch, bounds)[0::2]
+        np.take(gs_indicator, goals, out=terms, mode="clip")
+        terms *= counts
+        terms *= counts
+        norms_sq = np.add.reduceat(scratch, bounds)[0::2]
+        # On an empty segment reduceat returns the element at its start,
+        # not 0.
+        hollow = starts == ends
+        if hollow.any():
+            dots[hollow] = 0.0
+            norms_sq[hollow] = 0.0
+        return dots, norms_sq
+
+    def _action_mask(self, activity: frozenset[int]) -> np.ndarray:
+        """``AS(H)`` of a non-empty activity as a boolean action mask.
+
+        The union of the activity's co-occurrence rows — exact because
+        ``S = MᵀM`` has ``S[b, c] > 0`` iff some implementation contains
+        both ``b`` and ``c`` (the diagonal keeps ``H``'s own co-occurring
+        actions in ``AS``, as the scalar query does).
+        """
+        col_rows = self._cooc[0]
+        mask = np.zeros(self.num_actions, dtype=bool)
+        mask[np.concatenate([col_rows[a] for a in activity])] = True
+        return mask
+
     def _space_masks(
         self, activity: frozenset[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -586,20 +682,13 @@ class BatchRecommender:
 
         The scalar space queries (Eq. 1-2) as masks instead of Python
         sets: ``IS`` marks the activity's posting lists, ``GS`` the goals
-        of those implementations, and ``AS`` the union of the activity's
-        co-occurrence rows — exact because ``S = MᵀM`` has
-        ``S[b, c] > 0`` iff some implementation contains both ``b`` and
-        ``c`` (the diagonal keeps ``H``'s own co-occurring actions in
-        ``AS``, as the scalar query does).
+        of those implementations, and ``AS`` is :meth:`_action_mask`.
         """
         impl_mask = np.zeros(self.num_implementations, dtype=bool)
         impl_mask[np.concatenate([self._post_rows[a] for a in activity])] = True
         goal_mask = np.zeros(self.num_goals, dtype=bool)
         goal_mask[self._goal_of_impl[impl_mask]] = True
-        col_rows = self._cooc[0]
-        action_mask = np.zeros(self.num_actions, dtype=bool)
-        action_mask[np.concatenate([col_rows[a] for a in activity])] = True
-        return impl_mask, goal_mask, action_mask
+        return impl_mask, goal_mask, self._action_mask(activity)
 
     def spaces(
         self, activity: frozenset[int]
@@ -661,11 +750,13 @@ class BatchRecommender:
         if top is not None and top <= 0:
             raise RecommendationError(f"top must be positive, got {top}")
         encoded = self.labels.encode(activity)
-        act, pids, overlaps = self._overlap_counts(encoded)
+        pids, overlaps = self._overlap_counts(encoded)
         if pids.size == 0:
             return []
         if scorer == "evidence":
-            positions, _ = _gather_positions(self._c_indptr, act)
+            positions, _ = _gather_positions(
+                self._c_indptr, self._activity_array(encoded)
+            )
             counts = np.bincount(
                 self._c_indices[positions], minlength=self.num_goals
             )
@@ -678,7 +769,8 @@ class BatchRecommender:
             goals = self._goal_of_impl[pids]
             best = np.zeros(self.num_goals)
             np.maximum.at(best, goals, values)
-            gids = np.unique(goals)
+            # Every touched goal's best value is positive.
+            gids = np.flatnonzero(best)
             scores = best[gids]
         return _by_score_then_label(gids, scores, self.labels.goals, top)
 
@@ -720,9 +812,10 @@ class BatchRecommender:
         evidence: dict[GoalLabel, list[frozenset[ActionLabel]]] = {}
         if not encoded:
             return evidence
+        reached = np.zeros(self.num_implementations, dtype=bool)
+        reached[np.concatenate([self._post_rows[a] for a in encoded])] = True
         pids = self._post_rows[aid]
-        reached = np.concatenate([self._post_rows[a] for a in encoded])
-        pids = pids[np.isin(pids, reached)]
+        pids = pids[reached[pids]]
         goals, actions = self.labels.goals, self.labels.actions
         indptr, indices = self._m_indptr, self._m_indices
         for pid, gid in zip(pids.tolist(), self._goal_of_impl[pids].tolist()):

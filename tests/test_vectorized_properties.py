@@ -15,11 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AssociationGoalModel, CachedModelView, GoalRecommender
+from repro.core import (
+    AssociationGoalModel,
+    CachedModelView,
+    GoalRecommender,
+    vectorized,
+)
+from repro.core.approximate import PrunedBreadthStrategy
 from repro.core.recommender import PAPER_STRATEGIES
 from repro.core.strategies import create_strategy
 from repro.core.strategies.ensemble import EnsembleStrategy
-from repro.core.vectorized import BatchRecommender, _frequency_order
+from repro.core.vectorized import (
+    BatchRecommender,
+    _frequency_order,
+    _ranked_windows,
+)
 
 action_labels = st.integers(min_value=0, max_value=20).map(lambda i: f"a{i}")
 goal_labels = st.integers(min_value=0, max_value=6).map(lambda g: f"g{g}")
@@ -301,3 +311,139 @@ def test_frequency_order_matches_lexsort_on_both_sides_of_the_key_bound(
 def test_frequency_order_of_no_entries():
     empty = np.empty(0, dtype=np.int64)
     assert _frequency_order(empty, np.empty(0), empty, 0).size == 0
+
+
+# ----------------------------------------------------------------------
+# Dense-scale branches on tiny libraries
+# ----------------------------------------------------------------------
+#
+# The Focus walk ranks a widening prefix only above _PARTITION_CUTOVER
+# touched implementations, and Best Match sweeps C only when its candidate
+# rows hold more than _SWEEP_SHARE of C's entries; the libraries above
+# (at most 15 implementations) reach neither.  Forcing the thresholds to 0
+# walks both branches against the scalar strategies, and a first Focus
+# window of 2k implementations makes the prefix widen.
+
+
+def _forced_dense_branches(patch):
+    patch.setattr(vectorized, "_PARTITION_CUTOVER", 0)
+    patch.setattr(vectorized, "_SWEEP_SHARE", 0.0)
+    patch.setattr(vectorized, "_FIRST_WINDOW", 1)
+
+
+def _with_interleaved_orphans(model):
+    """``model`` with an orphan action before every real one.
+
+    Every even action id then has an empty posting list, co-occurrence
+    row and row of ``C`` — row 0 included — so the candidate rows of a
+    Best Match sweep are separated by empty ones.
+    """
+    labels = []
+    for label in model.action_labels():
+        labels += [f"hole:{label}", label]
+    return AssociationGoalModel(
+        labels,
+        model.goal_labels(),
+        [
+            frozenset(2 * aid + 1 for aid in model.implementation_actions(pid))
+            for pid in range(model.num_implementations)
+        ],
+        [
+            model.implementation_goal(pid)
+            for pid in range(model.num_implementations)
+        ],
+    )
+
+
+@st.composite
+def sentinel_activities(draw, model):
+    """Whole implementations (full-overlap Focus sentinels) plus extras."""
+    whole = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=model.num_implementations - 1),
+            max_size=3,
+        )
+    )
+    extra = draw(
+        st.frozensets(
+            st.integers(min_value=0, max_value=model.num_actions - 1),
+            max_size=3,
+        )
+    )
+    activity = set(extra)
+    for pid in whole:
+        activity |= model.implementation_actions(pid)
+    return frozenset(activity)
+
+
+@given(
+    any_libraries,
+    st.sampled_from(["none", "trailing", "interleaved"]),
+    st.sampled_from([1, 2, 3, 8]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_dense_branches_match_reference(pairs, orphans, k, data):
+    model = AssociationGoalModel.from_pairs(pairs)
+    if orphans == "trailing":
+        model = _with_orphan_actions(model, 2)
+    elif orphans == "interleaved":
+        model = _with_interleaved_orphans(model)
+    activity = data.draw(sentinel_activities(model))
+    engine = BatchRecommender(model)
+    expected = {
+        name: create_strategy(name).rank(model, activity, k)
+        for name in ("breadth", "focus_cmp", "focus_cl", "best_match")
+    }
+    pruned = PrunedBreadthStrategy(budget=2)
+    expected_pruned = pruned.rank(model, activity, k)
+    with pytest.MonkeyPatch.context() as patch:
+        _forced_dense_branches(patch)
+        for name, ranking in expected.items():
+            assert engine.rank(activity, k, name) == ranking, name
+        assert engine.pruned_breadth_rank(activity, k, 2) == expected_pruned
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([0, 4096]),
+)
+@settings(max_examples=100, deadline=None)
+def test_ranked_windows_concatenate_to_the_full_ranking(
+    values, chunk, cutover
+):
+    """Heavy ties put the window boundaries inside tie groups."""
+    ids = np.arange(0, 3 * len(values), 3)
+    scores = np.array(values, dtype=np.float64) / 2.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "_PARTITION_CUTOVER", cutover)
+        windows = list(_ranked_windows(ids, scores, chunk))
+    assert windows[0].size == min(chunk, ids.size)
+    np.testing.assert_array_equal(
+        np.concatenate(windows), np.lexsort((ids, -scores))
+    )
+
+
+@pytest.mark.parametrize("share", [0.0, 1.0])
+def test_goal_products_over_empty_rows_of_c(share, monkeypatch):
+    """Both summation paths agree with dense algebra on every row of C,
+    the empty rows of orphan actions included (``np.add.reduceat``
+    returns the next element, not 0, on an empty segment)."""
+    base = AssociationGoalModel.from_pairs(
+        [("g0", {"a", "b"}), ("g1", {"b", "c"}), ("g1", {"a", "c", "d"})]
+    )
+    model = _with_orphan_actions(_with_interleaved_orphans(base), 2)
+    engine = BatchRecommender(model)
+    dense_c = np.zeros((model.num_actions, model.num_goals))
+    for pid in range(model.num_implementations):
+        for aid in model.implementation_actions(pid):
+            dense_c[aid, model.implementation_goal(pid)] += 1.0
+    profile = np.array([3.0, 5.0])
+    gs_indicator = np.array([1.0, 0.0])
+    rows = np.arange(model.num_actions)
+    monkeypatch.setattr(vectorized, "_SWEEP_SHARE", share)
+    dots, norms_sq = engine._goal_products(rows, profile, gs_indicator)
+    assert dots.tolist() == (dense_c @ profile).tolist()
+    assert norms_sq.tolist() == ((dense_c**2) @ gs_indicator).tolist()
+    assert dots[0] == norms_sq[0] == dots[-1] == norms_sq[-1] == 0.0
