@@ -16,8 +16,8 @@ the engine's co-occurrence index follows the lexsort reference order
 It also times a served generation's build from the mutation log both
 ways: the old path, ``log.freeze()`` (an ``AssociationGoalModel`` with
 its dict indexes) followed by ``BatchRecommender``, and the served path,
-interning the live implementations (``intern_library``) and building the
-engine from the label tables and id-sorted rows.  Both engines'
+interning the log's label rows (``intern_rows``) and building the engine
+from the label tables and id-sorted rows.  Both engines'
 ``export_arrays()`` must be equal in value and dtype.  The model keeps the paper's FoodMart recipe
 lengths (mean 33 actions) over a smaller catalog so generation stays a few
 seconds.
@@ -51,7 +51,7 @@ from scipy import sparse
 from conftest import publish
 
 from repro.core import AssociationGoalModel, IncrementalGoalModel
-from repro.core.model import intern_library
+from repro.core.model import intern_rows
 from repro.core.vectorized import BatchRecommender, _frequency_order
 from repro.data import FoodMartConfig, generate_foodmart
 from repro.eval import format_table
@@ -141,7 +141,7 @@ def test_engine_build(library, model, tmp_path):
     log = IncrementalGoalModel.from_library(library)
     freeze_ms, frozen = _median_ms(log.freeze)
     frozen_build_ms, from_frozen = _median_ms(lambda: BatchRecommender(frozen))
-    intern_ms, interned = _median_ms(lambda: intern_library(log.implementations()))
+    intern_ms, interned = _median_ms(lambda: intern_rows(log.rows()))
     interned_build_ms, from_log = _median_ms(lambda: BatchRecommender(interned))
     old_arrays = from_frozen.export_arrays()
     new_arrays = from_log.export_arrays()
@@ -169,11 +169,9 @@ def test_engine_build(library, model, tmp_path):
     boundaries = s.indptr[1:-1]
     expected_cols = np.split(s.indices[reference], boundaries)
     expected_vals = np.split(s.data[reference], boundaries)
-    col_rows, val_rows = engine._cooc
-    assert len(col_rows) == n_actions
-    for got_cols, got_vals, want_cols, want_vals in zip(
-        col_rows, val_rows, expected_cols, expected_vals
-    ):
+    assert engine.export_arrays()["cooc_indptr"].size == n_actions + 1
+    for aid, (want_cols, want_vals) in enumerate(zip(expected_cols, expected_vals)):
+        got_cols, got_vals = engine.cooccurrence_row(aid)
         np.testing.assert_array_equal(got_cols, want_cols)
         np.testing.assert_array_equal(got_vals, want_vals)
 
@@ -195,7 +193,7 @@ def test_engine_build(library, model, tmp_path):
             ["generation from the log: freeze() ms", f"{freeze_ms:.1f}"],
             ["  + BatchRecommender(frozen model) ms", f"{frozen_build_ms:.1f}"],
             ["  = old generation build ms", f"{freeze_ms + frozen_build_ms:.1f}"],
-            ["generation from the log: intern_library ms", f"{intern_ms:.1f}"],
+            ["generation from the log: intern_rows ms", f"{intern_ms:.1f}"],
             ["  + BatchRecommender(interned) ms", f"{interned_build_ms:.1f}"],
             ["  = served generation build ms", f"{intern_ms + interned_build_ms:.1f}"],
             ["export_arrays() equal in value and dtype", "yes"],

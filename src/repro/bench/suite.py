@@ -41,6 +41,13 @@ _SMOKE_K = 10
 #: the approximation (the paper-scale recall gate lives in
 #: ``benchmarks/bench_single_request.py``).
 _SMOKE_PRUNE_BUDGET = 8
+#: Each timed leg of an ``overhead_ratio`` walks the split's activities this
+#: many times.  One walk takes 1.3-6 ms, about one 4 ms scheduler tick, so
+#: a single tick lost to another process moved a ratio by more than the
+#: overhead it measures; sixteen walks (22-100 ms) span many ticks.  The
+#: legs stay in wall time, which counts the recorders' background writes
+#: and lock waits.
+_OVERHEAD_REPEATS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +165,7 @@ def _bench_evaluation_protocol(
 def _bench_obs_overhead(harness: ExperimentHarness) -> dict[str, Metric]:
     """Enabled-path cost ratio, gated with a wide machine-tolerant band."""
     recommender = harness.recommender
-    activities = [user.observed for user in harness.split]
+    activities = [user.observed for user in harness.split] * _OVERHEAD_REPEATS
 
     def run_once() -> float:
         start = time.perf_counter()
@@ -178,9 +185,9 @@ def _bench_obs_overhead(harness: ExperimentHarness) -> dict[str, Metric]:
             enabled.append(run_once())
     finally:
         obs.disable()
-    # Median of the paired per-pass ratios: each leg times only a few
-    # milliseconds, and on a shared host a min-over-passes ratio swings
-    # with whichever leg happened to catch a fast scheduling window.
+    # Median of the paired per-pass ratios: on a shared host a
+    # min-over-passes ratio swings with whichever leg happened to catch a
+    # fast scheduling window.
     ratio = statistics.median(e / d for e, d in zip(enabled, disabled))
     return {
         # Noise-tolerant band: the committed baseline stores ~1.0x and CI
@@ -205,10 +212,11 @@ def _bench_quality_telemetry(harness: ExperimentHarness) -> dict[str, Metric]:
     model = harness.model
     activities = [user.observed for user in harness.split]
     request_ids = [f"req-{index:05d}" for index in range(len(activities))]
+    requests = list(zip(request_ids, activities)) * _OVERHEAD_REPEATS
 
     def run_plain() -> float:
         start = time.perf_counter()
-        for activity in activities:
+        for _, activity in requests:
             recommender.recommend(activity, k=_SMOKE_K, strategy="breadth")
         return time.perf_counter() - start
 
@@ -216,7 +224,7 @@ def _bench_quality_telemetry(harness: ExperimentHarness) -> dict[str, Metric]:
         monitor: obs.QualityMonitor, recorder: obs.FlightRecorder
     ) -> float:
         start = time.perf_counter()
-        for request_id, activity in zip(request_ids, activities):
+        for request_id, activity in requests:
             result = recommender.recommend(
                 activity, k=_SMOKE_K, strategy="breadth"
             )
@@ -348,7 +356,7 @@ def _bench_lock_sanitizer(harness: ExperimentHarness) -> dict[str, Metric]:
         reset_lock_sanitizer,
     )
 
-    activities = [list(user.observed) for user in harness.split]
+    activities = [list(user.observed) for user in harness.split] * _OVERHEAD_REPEATS
 
     def build() -> ModelManager:
         # A unit cache: every request runs real scoring, not a lock loop.

@@ -29,7 +29,10 @@ prints (or with ``--profile-out``, writes) the ``pstats`` report after the
 command finishes, so any subcommand can be profiled without code changes.
 
 Every subcommand is a thin shell over the library API — anything the CLI
-does can be done programmatically with the same names.
+does can be done programmatically with the same names.  Each subcommand
+imports what only it needs (the dataset generators, the evaluation
+harness and its baselines, text extraction) when it runs, so
+``repro serve`` loads none of them.
 """
 
 from __future__ import annotations
@@ -53,25 +56,8 @@ from repro.core import (
     IncrementalGoalModel,
     PAPER_STRATEGIES,
 )
-from repro.data import (
-    FoodMartConfig,
-    FortyThreeConfig,
-    generate_foodmart,
-    generate_fortythree,
-    load_dataset,
-    save_dataset,
-)
-from repro.eval import (
-    ExperimentHarness,
-    average_true_positive_rate,
-    format_table,
-    goal_completeness_after,
-    popularity_correlation,
-    usefulness_summary,
-)
 from repro.exceptions import ModelError, ReproError
 from repro.storage import JsonLibraryStore
-from repro.text import GoalStory, extract_implementations
 
 _SCALES = ("tiny", "small", "paper")
 
@@ -412,6 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.data import (
+        FoodMartConfig,
+        FortyThreeConfig,
+        generate_foodmart,
+        generate_fortythree,
+        save_dataset,
+    )
+
     if args.scenario == "foodmart":
         foodmart_configs = {
             "tiny": FoodMartConfig.tiny,
@@ -436,6 +430,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.data import load_dataset
+
     try:
         dataset = load_dataset(args.path)
         print(dataset.summary())
@@ -448,6 +444,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
+    from repro.eval.report import format_table
+
     library = JsonLibraryStore(args.library).load()
     model = AssociationGoalModel.from_library(library)
     recommender = GoalRecommender(model)
@@ -463,6 +461,16 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.data import load_dataset
+    from repro.eval import (
+        ExperimentHarness,
+        average_true_positive_rate,
+        format_table,
+        goal_completeness_after,
+        popularity_correlation,
+        usefulness_summary,
+    )
+
     dataset = load_dataset(args.dataset)
     harness = ExperimentHarness(
         dataset, k=args.k, max_users=args.max_users, seed=args.seed
@@ -504,6 +512,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from repro.text import GoalStory, extract_implementations
+
     stories: list[GoalStory] = []
     with args.stories.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -559,8 +569,8 @@ def _cmd_serve(args: argparse.Namespace, block: bool = True) -> int:
     # The retrying wrapper absorbs transient load failures (a writer
     # mid-replace, an injected storage fault) with deterministic backoff.
     # The served generations are built from this mutation log; no
-    # AssociationGoalModel is built.  The log keeps the loaded library's
-    # implementations, and nothing holds the library itself for the
+    # AssociationGoalModel is built.  The log keeps each implementation as
+    # a tuple of labels, and nothing holds the library itself for the
     # server's lifetime.
     log = IncrementalGoalModel.from_library(
         RetryingLibraryStore(JsonLibraryStore(args.library)).load()
@@ -661,6 +671,7 @@ def _serve_until_signalled(
 
 def _cmd_goals(args: argparse.Namespace) -> int:
     from repro.core.goal_inference import GoalInferencer
+    from repro.eval.report import format_table
 
     library = JsonLibraryStore(args.library).load()
     model = AssociationGoalModel.from_library(library)
@@ -706,6 +717,8 @@ def _num(value: object) -> float:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
+    from repro.eval.report import format_table
+
     directory: Path = args.telemetry_dir
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -796,6 +809,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.data import load_dataset
     from repro.experiments import ExperimentSuite, SuiteConfig
 
     grocery = load_dataset(args.grocery)

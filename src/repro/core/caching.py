@@ -54,7 +54,7 @@ from repro.core.entities import (
 )
 from repro.core.incremental import IncrementalGoalModel
 from repro.core.library import LibraryStats
-from repro.core.model import LabelTables, intern_library
+from repro.core.model import LabelTables, intern_rows
 from repro.core.recommender import GoalRecommender
 from repro.resilience.faults import inject
 from repro.utils.concurrency import make_lock
@@ -374,7 +374,7 @@ class CachedModelView:
 
     def implementations_of_action(self, aid: int) -> frozenset[int]:
         """``A-GI-idx[aid]`` — the action's posting list."""
-        return frozenset(self._engine._post_rows[aid].tolist())
+        return frozenset(self._engine.posting_list(aid).tolist())
 
     def implementations_of_goal(self, gid: int) -> frozenset[int]:
         """``G-GI-idx[gid]`` — the implementations whose goal is ``gid``."""
@@ -475,19 +475,21 @@ class CachedModelView:
 def build_served_view(log: IncrementalGoalModel) -> CachedModelView:
     """Index a mutation log's live implementations for serving.
 
-    Interns them in ascending log-id order (:func:`intern_library`, the
-    same walk :meth:`~repro.core.incremental.IncrementalGoalModel.freeze`
-    takes, so the ids equal the reference model's), builds the
-    generation's CSR engine from the label tables and id-sorted rows, and
-    wraps it.  No :class:`~repro.core.model.AssociationGoalModel` is
-    built.  The log must hold at least one live implementation.
+    Interns the log's label rows in ascending log-id order
+    (:func:`~repro.core.model.intern_rows`: the walk
+    :meth:`~repro.core.incremental.IncrementalGoalModel.freeze` takes,
+    without sorting each row again, so the ids equal the reference
+    model's), builds the generation's CSR engine from the label tables
+    and id-sorted rows, and wraps it.  No
+    :class:`~repro.core.model.AssociationGoalModel` is built.  The log
+    must hold at least one live implementation.
 
     Every generation build ends with one :func:`trim_heap`, which hands
     the build's freed scratch back to the OS.  Inside a
     :func:`trim_after` block (a hot swap, which builds under the model's
     write lock) the trim runs when the block ends instead.
     """
-    view = CachedModelView(intern_library(log.implementations()))
+    view = CachedModelView(intern_rows(log.rows()))
     if getattr(_TRIM_DEFERRED, "pending", None) is None:
         trim_heap()
     else:

@@ -6,26 +6,34 @@ implementations stream in (new recipes get published, users post new
 success stories) and stale ones are retired.  :class:`IncrementalGoalModel`
 records those mutations and nothing else: the live implementations by id,
 a dedup map and a monotonic id counter.  It answers no queries: the
-serving layer interns :meth:`IncrementalGoalModel.implementations` into
-each generation's CSR engine
-(:func:`~repro.core.caching.build_served_view`), and
-:meth:`IncrementalGoalModel.freeze` indexes them into a reference
-:class:`AssociationGoalModel` for tests and offline use.
+serving layer interns :meth:`IncrementalGoalModel.rows` into each
+generation's CSR engine (:func:`~repro.core.caching.build_served_view`),
+and :meth:`IncrementalGoalModel.freeze` indexes the live implementations
+into a reference :class:`AssociationGoalModel` for tests and offline use.
+
+Each live implementation is kept once, as a ``(goal, labels)`` row:
+``labels`` is a tuple of its action labels in the interning walk's order
+(sorted by ``str``, see :func:`~repro.core.model.intern_library`),
+computed once when the implementation is recorded, so no generation build
+sorts a row again.  The same tuple is the dedup key.
+:class:`GoalImplementation` objects are built on demand
+(:meth:`~IncrementalGoalModel.implementation`,
+:meth:`~IncrementalGoalModel.implementations`).
 
 - implementation ids are never reused after removal (monotonic counter), so
   external references stay unambiguous;
-- both walk the live implementations in ascending id order, so the served
-  ids equal ``AssociationGoalModel.from_library(log.to_library())``'s id
-  for id.
+- the served build and :meth:`~IncrementalGoalModel.freeze` walk the live
+  implementations in ascending id order, so the served ids equal
+  ``AssociationGoalModel.from_library(log.to_library())``'s id for id.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from repro.core.entities import ActionLabel, GoalImplementation, GoalLabel
 from repro.core.library import ImplementationLibrary
-from repro.core.model import AssociationGoalModel
+from repro.core.model import AssociationGoalModel, LabelRow
 from repro.exceptions import ModelError
 
 #: Lock discipline, machine-checked by ``repro-lint`` (rule RL001, see
@@ -40,13 +48,20 @@ _GUARDED_BY = {
 }
 
 
+def _row(goal: GoalLabel, actions: Iterable[ActionLabel]) -> LabelRow:
+    """The ``(goal, labels)`` row of an implementation: its distinct
+    actions in the interning walk's order."""
+    return goal, tuple(sorted(frozenset(actions), key=str))
+
+
 class IncrementalGoalModel:
     """The live implementations of a mutable library, by monotonic id."""
 
     def __init__(self) -> None:
         # Ascending pid order: ids only grow and removal keeps dict order.
-        self._live: dict[int, GoalImplementation] = {}
-        self._dedup: dict[tuple[GoalLabel, frozenset[ActionLabel]], int] = {}
+        # Both maps hold the same row tuple.
+        self._live: dict[int, LabelRow] = {}
+        self._dedup: dict[LabelRow, int] = {}
         self._next_impl_id = 0
 
     @classmethod
@@ -55,53 +70,38 @@ class IncrementalGoalModel:
     ) -> "IncrementalGoalModel":
         """Seed a log from an existing library.
 
-        An :class:`ImplementationLibrary` is duplicate-free and numbered
-        0, 1, 2, ... in order, so each implementation's ``impl_id`` is the
-        id the log assigns it: the log keeps the library's own
-        :class:`GoalImplementation` instead of building a second copy.
-        One that does not line up (a duplicate, or another id) is added
-        as a new implementation.
+        Each implementation is recorded as :meth:`add_implementation`
+        records it, so an :class:`ImplementationLibrary` (duplicate-free,
+        numbered 0, 1, 2, ... in order) keeps its ids; a duplicate is
+        skipped.  The rows are recorded directly, not through the public
+        method.
         """
         model = cls()
         for impl in library:
-            model._adopt(impl)
+            model._add(_row(impl.goal, impl.actions))
         return model
-
-    def _adopt(self, impl: GoalImplementation) -> None:
-        """Make ``impl`` itself live if its id and labels line up."""
-        key = (impl.goal, impl.actions)
-        if impl.impl_id == self._next_impl_id and key not in self._dedup:
-            self._record(key, impl)
-        else:
-            self.add_implementation(impl.goal, impl.actions)
 
     def add_implementation(
         self, goal: GoalLabel, actions: Iterable[ActionLabel]
     ) -> int:
         """Record a new ``(goal, actions)`` implementation; return its id.
 
-        Duplicates of a live implementation return the existing id.  Raises
-        :class:`ModelError` on an empty action set.
+        Duplicates of a live implementation (the same goal and action set,
+        in any order) return the existing id.  Raises :class:`ModelError`
+        on an empty action set.
         """
-        labels = frozenset(actions)
-        if not labels:
+        row = _row(goal, actions)
+        if not row[1]:
             raise ModelError(f"implementation of {goal!r} has no actions")
-        key = (goal, labels)
-        existing = self._dedup.get(key)
-        if existing is not None:
-            return existing
-        return self._record(
-            key, GoalImplementation(goal=goal, actions=labels, impl_id=self._next_impl_id)
-        )
+        return self._add(row)
 
-    def _record(
-        self, key: tuple[GoalLabel, frozenset[ActionLabel]], impl: GoalImplementation
-    ) -> int:
-        """Make ``impl``, numbered with the next id, live under ``key``."""
-        pid = self._next_impl_id
-        self._next_impl_id += 1
-        self._live[pid] = impl
-        self._dedup[key] = pid
+    def _add(self, row: LabelRow) -> int:
+        """The id of ``row``: a live duplicate's, or else the next id, under
+        which ``row`` becomes live."""
+        pid = self._dedup.setdefault(row, self._next_impl_id)
+        if pid == self._next_impl_id:
+            self._next_impl_id += 1
+            self._live[pid] = row
         return pid
 
     def remove_implementation(self, pid: int) -> None:
@@ -109,10 +109,10 @@ class IncrementalGoalModel:
 
         Raises :class:`ModelError` when ``pid`` is not live.
         """
-        impl = self._live.pop(pid, None)
-        if impl is None:
+        row = self._live.pop(pid, None)
+        if row is None:
             raise ModelError(f"no live implementation with id {pid}")
-        del self._dedup[(impl.goal, impl.actions)]
+        del self._dedup[row]
 
     @property
     def num_implementations(self) -> int:
@@ -123,21 +123,29 @@ class IncrementalGoalModel:
         """Ids of the live implementations, ascending."""
         return list(self._live)
 
+    def rows(self) -> Iterable[LabelRow]:
+        """The live ``(goal, labels)`` rows, in ascending id order (a live
+        view), each row's labels in the interning walk's order."""
+        return self._live.values()
+
     def implementation(self, pid: int) -> GoalImplementation:
         """The live implementation ``pid``; raises :class:`ModelError` if
         it is not live."""
         try:
-            return self._live[pid]
+            goal, labels = self._live[pid]
         except KeyError:
             raise ModelError(f"no live implementation with id {pid}") from None
+        return GoalImplementation(goal, frozenset(labels), pid)
 
-    def implementations(self) -> Iterable[GoalImplementation]:
-        """The live implementations, in ascending id order (a live view)."""
-        return self._live.values()
+    def implementations(self) -> Iterator[GoalImplementation]:
+        """The live implementations, in ascending id order, each built on
+        demand."""
+        for pid, (goal, labels) in self._live.items():
+            yield GoalImplementation(goal, frozenset(labels), pid)
 
     def to_library(self) -> ImplementationLibrary:
         """Export the live implementations, in ascending id order."""
-        return ImplementationLibrary(self._live.values())
+        return ImplementationLibrary(self.implementations())
 
     def freeze(self) -> AssociationGoalModel:
         """Index the live implementations into an immutable model.
@@ -148,4 +156,4 @@ class IncrementalGoalModel:
         """
         if not self._live:
             raise ModelError("cannot freeze a model with no live implementations")
-        return AssociationGoalModel.from_library(self._live.values())
+        return AssociationGoalModel.from_library(self.implementations())

@@ -6,7 +6,8 @@ it.  It deduplicates implementations, assigns stable integer identifiers and
 exposes the summary statistics the paper reports for its two datasets
 (number of goals/actions/implementations, *connectivity* — the average number
 of implementations an action participates in — and average implementation
-length).
+length).  :func:`library_to_dict` and :func:`library_from_dict` are its
+JSON-compatible form, the payload of a library file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.entities import ActionLabel, GoalImplementation, GoalLabel
 from repro.exceptions import DataError
@@ -136,3 +138,41 @@ class ImplementationLibrary:
                 len(self._implementations) / len(per_goal)
             ),
         )
+
+
+def library_to_dict(library: ImplementationLibrary) -> dict[str, Any]:
+    """Serialize a library to a JSON-compatible dict."""
+    return {
+        "implementations": [
+            {"goal": str(impl.goal), "actions": sorted(map(str, impl.actions))}
+            for impl in library
+        ]
+    }
+
+
+def library_from_dict(payload: object) -> ImplementationLibrary:
+    """Deserialize a library produced by :func:`library_to_dict`."""
+    if not isinstance(payload, dict):
+        raise DataError(
+            f"library payload must be an object, not {type(payload).__name__}"
+        )
+    try:
+        rows = iter(payload["implementations"])
+    except KeyError:
+        raise DataError("library payload missing 'implementations'") from None
+    except TypeError:
+        raise DataError(
+            "library 'implementations' must be a list, not "
+            f"{type(payload['implementations']).__name__}"
+        ) from None
+    library = ImplementationLibrary()
+    for row in rows:
+        try:
+            library.add(
+                GoalImplementation(
+                    goal=row["goal"], actions=frozenset(row["actions"])
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed implementation row {row!r}: {exc}") from exc
+    return library

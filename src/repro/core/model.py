@@ -22,8 +22,9 @@ The model is immutable once built.  All recommendation strategies operate on
 integer ids through this class; the :class:`~repro.core.recommender.GoalRecommender`
 facade translates labels at the boundary.
 
-:func:`intern_library` is the one place that assigns the dense ids: goals in
-first-seen order, actions in first-seen order of each implementation's
+:func:`intern_rows` (which :func:`intern_library` calls after sorting each
+implementation's labels) is the one place that assigns the dense ids: goals
+in first-seen order, actions in first-seen order of each implementation's
 label-sorted walk.  The model, its goal projection and the serving layer's
 CSR engine (:class:`~repro.core.vectorized.BatchRecommender`) are all built
 from its :class:`InternedLibrary`, so their ids agree by construction, and
@@ -32,9 +33,10 @@ tie-breaking, which follows the ids, agrees with them.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from time import perf_counter
+from typing import cast
 
 from repro import obs
 from repro.core.entities import ActionLabel, GoalImplementation, GoalLabel
@@ -107,6 +109,11 @@ class InternedLibrary:
     impl_goal: list[int]
 
 
+#: One implementation at the label level, as the interning walk reads it:
+#: its goal and its distinct action labels, sorted by ``str``.
+LabelRow = tuple[GoalLabel, tuple[ActionLabel, ...]]
+
+
 def intern_library(library: Iterable[GoalImplementation]) -> InternedLibrary:
     """Assign dense ids to a duplicate-free sequence of implementations.
 
@@ -115,26 +122,45 @@ def intern_library(library: Iterable[GoalImplementation]) -> InternedLibrary:
     set order: set order for strings varies with ``PYTHONHASHSEED``, and
     the ids decide tie-breaking, so it must not differ across processes.
     """
+    return intern_rows(
+        (impl.goal, sorted(impl.actions, key=str)) for impl in library
+    )
+
+
+def intern_rows(
+    rows: Iterable[tuple[GoalLabel, Sequence[ActionLabel]]],
+) -> InternedLibrary:
+    """:func:`intern_library` over rows whose labels are already in the
+    walk's order (the mutation log keeps its implementations that way).
+
+    A row whose labels all have ids is mapped in one pass; only a row that
+    brings a new label walks its labels one by one.
+    """
     action_ids: dict[ActionLabel, int] = {}
     goal_ids: dict[GoalLabel, int] = {}
     actions: list[ActionLabel] = []
     goals: list[GoalLabel] = []
     impl_rows: list[list[int]] = []
     impl_goal: list[int] = []
-    for impl in library:
-        gid = goal_ids.get(impl.goal)
+    known = action_ids.get
+    for goal, labels in rows:
+        gid = goal_ids.get(goal)
         if gid is None:
             gid = len(goals)
-            goal_ids[impl.goal] = gid
-            goals.append(impl.goal)
-        row: list[int] = []
-        for label in sorted(impl.actions, key=str):
-            aid = action_ids.get(label)
-            if aid is None:
-                aid = len(actions)
-                action_ids[label] = aid
-                actions.append(label)
-            row.append(aid)
+            goal_ids[goal] = gid
+            goals.append(goal)
+        found: list[int | None] = list(map(known, labels))
+        if None in found:
+            row: list[int] = []
+            for label in labels:
+                aid = action_ids.get(label)
+                if aid is None:
+                    aid = len(actions)
+                    action_ids[label] = aid
+                    actions.append(label)
+                row.append(aid)
+        else:
+            row = cast("list[int]", found)
         row.sort()
         impl_rows.append(row)
         impl_goal.append(gid)

@@ -22,7 +22,10 @@ half):
   ordered by ``(-count, action_id)``.
 
 SciPy's sparse products compute ``C`` and ``S`` at construction; the engine
-keeps no matrix object.  With ``H`` a user's activity:
+keeps no matrix object, and no per-row view either: a request slices the
+rows it reads out of the flat arrays, between bounds read from each
+index's ``indptr``, which the engine keeps once as a Python list.  With
+``H`` a user's activity:
 
 - per-implementation overlaps ``o_p = |A_p ∩ H|`` count each
   implementation's occurrences in the posting lists of ``H``;
@@ -271,7 +274,9 @@ class BatchRecommender:
         self._c_data = c.data
         self._c_indptr = c.indptr.astype(np.int64)
         self._c_indices = c.indices.astype(np.int64)
-        self._cooc = self._build_cooccurrence(m, mt, n_actions)
+        self._cooc_cols, self._cooc_vals, self._cooc_indptr = (
+            self._build_cooccurrence(m, mt, n_actions)
+        )
         self._derive_views(labels)
 
     # ------------------------------------------------------------------
@@ -286,11 +291,9 @@ class BatchRecommender:
         forked worker rebuilds an identical engine with
         :meth:`from_arrays` over zero-copy views of the same physical
         pages.  The co-occurrence index travels with the rest, so children
-        never build (and privately allocate) it themselves.
+        never build (and privately allocate) it themselves.  The values
+        are the engine's own arrays, not copies.
         """
-        col_rows, val_rows = self._cooc
-        cooc_indptr = np.zeros(len(col_rows) + 1, dtype=np.int64)
-        np.cumsum([row.size for row in col_rows], out=cooc_indptr[1:])
         return {
             "m_indptr64": self._m_indptr,
             "m_indices64": self._m_indices,
@@ -300,9 +303,9 @@ class BatchRecommender:
             "c_indptr64": self._c_indptr,
             "c_indices64": self._c_indices,
             "goal_of_impl": self._goal_of_impl,
-            "cooc_cols": np.concatenate(col_rows) if col_rows else np.empty(0, dtype=np.int64),
-            "cooc_vals": np.concatenate(val_rows) if val_rows else np.empty(0),
-            "cooc_indptr": cooc_indptr,
+            "cooc_cols": self._cooc_cols,
+            "cooc_vals": self._cooc_vals,
+            "cooc_indptr": self._cooc_indptr,
         }
 
     @classmethod
@@ -321,7 +324,7 @@ class BatchRecommender:
         the exporting engine (asserted in the test suite) because every
         index — including the frequency-ordered co-occurrence index with
         its tie-breaking order — is taken from the snapshot, never
-        recomputed; only the small per-request views of
+        recomputed; only the row lengths and row bounds of
         :meth:`_derive_views` are.
         """
         self = cls.__new__(cls)
@@ -333,33 +336,32 @@ class BatchRecommender:
         self._c_indptr = arrays["c_indptr64"]
         self._c_indices = arrays["c_indices64"]
         self._goal_of_impl = arrays["goal_of_impl"]
-        boundaries = arrays["cooc_indptr"][1:-1]
-        self._cooc = (
-            np.split(arrays["cooc_cols"], boundaries),
-            np.split(arrays["cooc_vals"], boundaries),
-        )
+        self._cooc_cols = arrays["cooc_cols"]
+        self._cooc_vals = arrays["cooc_vals"]
+        self._cooc_indptr = arrays["cooc_indptr"]
         self._derive_views(
             source if isinstance(source, LabelTables) else source.labels
         )
         return self
 
     def _derive_views(self, labels: LabelTables) -> None:
-        """The per-request views both constructors derive from the arrays.
+        """What both constructors derive from the arrays.
 
-        Implementation lengths feed the Focus scores; the per-action
-        posting-list views (rows of the ``A-GI`` index) let a request
-        concatenate a handful of views instead of running the index
-        arithmetic of ``_gather_positions``; the label tables encode and
-        decode ids.
+        Implementation lengths feed the Focus scores.  The row bounds of
+        the posting lists (the ``A-GI`` index) and of the co-occurrence
+        index, as Python lists, let a request slice the handful of rows
+        it reads (:meth:`posting_list`, :meth:`cooccurrence_row`) with
+        plain integers, instead of running the index arithmetic of
+        ``_gather_positions`` or reading NumPy scalars out of ``indptr``.
+        The label tables encode and decode ids.
         """
         self.labels = labels
         self.num_actions = len(labels.actions)
         self.num_goals = len(labels.goals)
         self.num_implementations = int(self._goal_of_impl.size)
         self._impl_lengths = np.diff(self._m_indptr).astype(np.float64)
-        self._post_rows: list[np.ndarray] = np.split(
-            self._post_indices, self._post_indptr[1:-1]
-        )
+        self._post_bounds: list[int] = self._post_indptr.tolist()
+        self._cooc_bounds: list[int] = self._cooc_indptr.tolist()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -367,6 +369,27 @@ class BatchRecommender:
 
     def _activity_array(self, activity: frozenset[int]) -> np.ndarray:
         return np.fromiter(activity, dtype=np.int64, count=len(activity))
+
+    def posting_list(self, aid: int) -> np.ndarray:
+        """``A-GI-idx[aid]``: the implementations containing action
+        ``aid``, ascending (a view of the posting-list array)."""
+        bounds = self._post_bounds
+        return self._post_indices[bounds[aid]:bounds[aid + 1]]
+
+    def _postings(self, actions: Iterable[int]) -> np.ndarray:
+        """The posting lists of ``actions`` (at least one), concatenated
+        into a fresh array."""
+        indices, bounds = self._post_indices, self._post_bounds
+        return np.concatenate(
+            [indices[bounds[a]:bounds[a + 1]] for a in actions]
+        )
+
+    def cooccurrence_row(self, aid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``aid`` of ``S`` in ``(-count, action_id)`` order: its
+        ``(columns, counts)``, as views of the co-occurrence arrays."""
+        bounds = self._cooc_bounds
+        start, end = bounds[aid], bounds[aid + 1]
+        return self._cooc_cols[start:end], self._cooc_vals[start:end]
 
     def _overlap_counts(
         self, activity: frozenset[int]
@@ -382,7 +405,7 @@ class BatchRecommender:
         """
         if not activity:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        touched = np.concatenate([self._post_rows[a] for a in activity])
+        touched = self._postings(activity)
         size = touched.size
         if size == 0:
             return touched, touched
@@ -403,16 +426,16 @@ class BatchRecommender:
     @staticmethod
     def _build_cooccurrence(
         m: sparse.csr_matrix, mt: sparse.csr_matrix, n_actions: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The frequency-ordered co-occurrence index.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The frequency-ordered co-occurrence index, as CSR ``(columns,
+        counts, indptr)`` arrays.
 
         ``S = MᵀM`` with every row sorted by ``(-count, action_id)``:
         ``S[b, c]`` counts the implementations containing both ``b`` and
         ``c``, so summing the rows of the activity's actions *is* the
         Breadth ranking, and truncating each row to its heaviest entries is
-        the approximate tier's budgeted traversal.  The index is kept as
-        per-row ``(columns, counts)`` views so a request is one
-        ``np.concatenate`` of ``|H|`` views.  Building S costs one spmm
+        the approximate tier's budgeted traversal.  A request is one
+        ``np.concatenate`` of ``|H|`` row slices.  Building S costs one spmm
         plus one argsort over packed int64 keys (:func:`_frequency_order`):
         about 0.2 s at dense FoodMart scale (1.5M nonzeros), half of it
         the spmm.
@@ -421,11 +444,7 @@ class BatchRecommender:
         indptr = s.indptr.astype(np.int64)
         row_of = np.repeat(np.arange(n_actions), np.diff(indptr))
         order = _frequency_order(row_of, s.data, s.indices, n_actions)
-        boundaries = indptr[1:-1]
-        return (
-            np.split(s.indices.astype(np.int64)[order], boundaries),
-            np.split(s.data[order], boundaries),
-        )
+        return s.indices.astype(np.int64)[order], s.data[order], indptr
 
     @staticmethod
     def _ranked_pairs(
@@ -457,13 +476,17 @@ class BatchRecommender:
         """
         if not activity:
             return []
-        col_rows, val_rows = self._cooc
+        bounds = self._cooc_bounds
         if budget is None:
-            col_parts = [col_rows[a] for a in activity]
-            val_parts = [val_rows[a] for a in activity]
+            spans = [(bounds[a], bounds[a + 1]) for a in activity]
         else:
-            col_parts = [col_rows[a][:budget] for a in activity]
-            val_parts = [val_rows[a][:budget] for a in activity]
+            spans = [
+                (bounds[a], min(bounds[a] + budget, bounds[a + 1]))
+                for a in activity
+            ]
+        cols, vals = self._cooc_cols, self._cooc_vals
+        col_parts = [cols[start:end] for start, end in spans]
+        val_parts = [vals[start:end] for start, end in spans]
         sub_cols = np.concatenate(col_parts)
         if sub_cols.size == 0:
             return []
@@ -670,9 +693,9 @@ class BatchRecommender:
         both ``b`` and ``c`` (the diagonal keeps ``H``'s own co-occurring
         actions in ``AS``, as the scalar query does).
         """
-        col_rows = self._cooc[0]
+        cols, bounds = self._cooc_cols, self._cooc_bounds
         mask = np.zeros(self.num_actions, dtype=bool)
-        mask[np.concatenate([col_rows[a] for a in activity])] = True
+        mask[np.concatenate([cols[bounds[a]:bounds[a + 1]] for a in activity])] = True
         return mask
 
     def _space_masks(
@@ -685,7 +708,7 @@ class BatchRecommender:
         of those implementations, and ``AS`` is :meth:`_action_mask`.
         """
         impl_mask = np.zeros(self.num_implementations, dtype=bool)
-        impl_mask[np.concatenate([self._post_rows[a] for a in activity])] = True
+        impl_mask[self._postings(activity)] = True
         goal_mask = np.zeros(self.num_goals, dtype=bool)
         goal_mask[self._goal_of_impl[impl_mask]] = True
         return impl_mask, goal_mask, self._action_mask(activity)
@@ -787,7 +810,7 @@ class BatchRecommender:
         """
         require_positive(k, "k")
         aid = self.labels.action_id(action)
-        cols, counts = self._cooc[0][aid], self._cooc[1][aid]
+        cols, counts = self.cooccurrence_row(aid)
         others = cols != aid
         cols, counts = cols[others], counts[others]
         indptr = self._post_indptr
@@ -813,8 +836,8 @@ class BatchRecommender:
         if not encoded:
             return evidence
         reached = np.zeros(self.num_implementations, dtype=bool)
-        reached[np.concatenate([self._post_rows[a] for a in encoded])] = True
-        pids = self._post_rows[aid]
+        reached[self._postings(encoded)] = True
+        pids = self.posting_list(aid)
         pids = pids[reached[pids]]
         goals, actions = self.labels.goals, self.labels.actions
         indptr, indices = self._m_indptr, self._m_indices

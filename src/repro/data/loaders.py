@@ -3,7 +3,9 @@
 A dataset round-trips through a single JSON document so experiments can be
 frozen to disk and reloaded bit-identically.  Labels must be strings for the
 shipped loaders (all generators produce string labels); arbitrary hashable
-labels remain supported in-memory.
+labels remain supported in-memory.  The library half
+(:func:`library_to_dict`, :func:`library_from_dict`) lives with the library
+in :mod:`repro.core.library`, so a library file loads without this package.
 """
 
 from __future__ import annotations
@@ -11,50 +13,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.entities import GoalImplementation
-from repro.core.library import ImplementationLibrary
+from repro.core.library import library_from_dict, library_to_dict
 from repro.data.schema import Dataset, GeneratedUser
 from repro.exceptions import DataError
 
 _FORMAT_VERSION = 1
-
-
-def library_to_dict(library: ImplementationLibrary) -> dict:
-    """Serialize a library to a JSON-compatible dict."""
-    return {
-        "implementations": [
-            {"goal": str(impl.goal), "actions": sorted(map(str, impl.actions))}
-            for impl in library
-        ]
-    }
-
-
-def library_from_dict(payload: dict) -> ImplementationLibrary:
-    """Deserialize a library produced by :func:`library_to_dict`."""
-    if not isinstance(payload, dict):
-        raise DataError(
-            f"library payload must be an object, not {type(payload).__name__}"
-        )
-    try:
-        rows = iter(payload["implementations"])
-    except KeyError:
-        raise DataError("library payload missing 'implementations'") from None
-    except TypeError:
-        raise DataError(
-            "library 'implementations' must be a list, not "
-            f"{type(payload['implementations']).__name__}"
-        ) from None
-    library = ImplementationLibrary()
-    for row in rows:
-        try:
-            library.add(
-                GoalImplementation(
-                    goal=row["goal"], actions=frozenset(row["actions"])
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed implementation row {row!r}: {exc}") from exc
-    return library
 
 
 def dataset_to_dict(dataset: Dataset) -> dict:

@@ -8,8 +8,11 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
-from repro.core.library import ImplementationLibrary
-from repro.data.loaders import library_from_dict, library_to_dict
+from repro.core.library import (
+    ImplementationLibrary,
+    library_from_dict,
+    library_to_dict,
+)
 from repro.exceptions import DataError, StorageError
 from repro.resilience.faults import inject
 from repro.storage.base import LibraryStore

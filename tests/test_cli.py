@@ -229,6 +229,40 @@ class TestServe:
         assert "serving" in capsys.readouterr().out
 
 
+#: Imported by a serve start, it prints every ``repro`` module then loaded.
+_SERVE_MODULES_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro import cli
+args = cli._build_parser().parse_args(["serve", "--library", sys.argv[2], "--port", "0"])
+assert cli._cmd_serve(args, block=False) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
+"""
+
+
+class TestServeImports:
+    """A serve start loads none of the offline subsystems."""
+
+    def test_serve_imports_no_offline_module(self, library_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", _SERVE_MODULES_PROBE, str(src), str(library_path)],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        loaded = json.loads(result.stdout.splitlines()[-1])
+        assert "repro.service" in loaded and "repro.core.vectorized" in loaded
+        offline = ("repro.eval", "repro.baselines", "repro.text", "repro.data",
+                   "repro.experiments")
+        assert [
+            name for name in loaded
+            if any(name == root or name.startswith(root + ".") for root in offline)
+        ] == []
+
+
 class TestProfileFlag:
     def test_profile_report_goes_to_stderr(self, library_path, capsys):
         code = main(

@@ -1,5 +1,7 @@
 """Unit tests for the mutation log and the model its ``freeze()`` indexes."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,10 @@ from repro.core import (
     GoalRecommender,
     IncrementalGoalModel,
 )
+from repro.core.caching import build_served_view
 from repro.core.strategies import create_strategy
 from repro.exceptions import ModelError
+from repro.storage import JsonLibraryStore
 
 
 @pytest.fixture
@@ -43,6 +47,42 @@ class TestAdd:
         pid = model.add_implementation("g1", {"a1", "a2", "a3"})
         assert pid == 0
         assert model.num_implementations == 5
+
+    def test_same_set_in_another_order_returns_existing_id(self, model):
+        pid = model.add_implementation("g9", ["b", "a", "c"])
+        assert model.add_implementation("g9", ("c", "b", "a")) == pid
+        assert model.add_implementation("g9", iter(["a", "c", "b", "a"])) == pid
+        assert model.add_implementation("g9", frozenset({"c", "a", "b"})) == pid
+        assert model.implementation(pid).actions == frozenset({"a", "b", "c"})
+        # Another goal over the same set is another implementation.
+        assert model.add_implementation("g8", ["a", "b", "c"]) == pid + 1
+        assert model.num_implementations == 7
+
+    def test_library_file_with_non_string_labels(self, tmp_path):
+        """``JsonLibraryStore`` decodes such a file without sharing labels
+        (``1``, ``1.0`` and ``true`` are equal keys); the log keeps each
+        label as decoded and serves the reference model's ids."""
+        path = tmp_path / "library.json"
+        path.write_text(json.dumps({"implementations": [
+            {"goal": 7, "actions": [3, 2.5, "x"]},
+            {"goal": "g", "actions": [None, "x", True]},
+            {"goal": 7, "actions": ["x", 2.5, 3]},
+        ]}))
+        library = JsonLibraryStore(path).load()
+        assert len(library) == 2
+        log = IncrementalGoalModel.from_library(library)
+        assert log.live_implementation_ids() == [0, 1]
+        assert [log.implementation(pid) for pid in (0, 1)] == list(library)
+        assert log.add_implementation(7, [2.5, "x", 3]) == 0
+        reference = AssociationGoalModel.from_library(library)
+        served = build_served_view(log)
+        assert served.labels.actions == reference.action_labels()
+        assert list(map(type, served.labels.actions)) == list(
+            map(type, reference.action_labels())
+        )
+        assert served.labels.goals == reference.goal_labels() == [7, "g"]
+        for pid in (0, 1):
+            assert served.implementation(pid) == reference.implementation(pid)
 
     def test_empty_actions_rejected(self, model):
         with pytest.raises(ModelError, match="no actions"):
@@ -110,6 +150,21 @@ class TestQueriesMatchFrozenModel:
         assert "fresh_action" not in before.action_set()
 
 
+def assert_holds_no_frozenset(log: IncrementalGoalModel):
+    """Each live implementation is one ``(goal, labels)`` tuple row; the
+    log keeps no frozenset or GoalImplementation per implementation."""
+    rows = list(log.rows())
+    assert len(rows) == log.num_implementations
+    for row in rows:
+        assert type(row) is tuple and type(row[1]) is tuple
+        assert not any(isinstance(part, frozenset) for part in (*row, *row[1]))
+    for value in vars(log).values():
+        items = value.items() if isinstance(value, dict) else ()
+        for key, held in items:
+            for part in (key, held):
+                assert not isinstance(part, (frozenset, GoalImplementation))
+
+
 class TestFreeze:
     def test_freeze_equivalent_queries(self, figure1_pairs, model):
         assert_id_identical(
@@ -138,7 +193,8 @@ class TestFreeze:
     def test_from_library_keeps_the_librarys_implementations(self, recipe_library):
         incremental = IncrementalGoalModel.from_library(recipe_library)
         for impl in recipe_library:
-            assert incremental.implementation(impl.impl_id) is impl
+            assert incremental.implementation(impl.impl_id) == impl
+        assert_holds_no_frozenset(incremental)
 
     def test_from_library_renumbers_what_does_not_line_up(self):
         first = GoalImplementation("g", frozenset({"a"}), impl_id=0)
@@ -149,13 +205,14 @@ class TestFreeze:
             [first, unnumbered, duplicate, misnumbered]
         )
         assert incremental.live_implementation_ids() == [0, 1, 2]
-        assert incremental.implementation(0) is first
+        assert incremental.implementation(0) == first
         assert incremental.implementation(1) == GoalImplementation(
             "h", frozenset({"b"}), impl_id=1
         )
         assert incremental.implementation(2) == GoalImplementation(
             "k", frozenset({"c"}), impl_id=2
         )
+        assert_holds_no_frozenset(incremental)
 
 
 class TestMisc:

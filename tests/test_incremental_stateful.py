@@ -4,7 +4,10 @@ Hypothesis drives random sequences of add/remove operations against an
 :class:`IncrementalGoalModel` while a shadow list of live ``(goal, actions)``
 pairs defines the ground truth.  After every step, a freshly built
 :class:`AssociationGoalModel` over the shadow state must agree with the
-log's ``freeze()`` on all space queries and on every strategy's ranking.
+log's ``freeze()`` on all space queries and on every strategy's ranking,
+and the served build (``build_served_view``, which interns the log's label
+rows) must equal an engine built from the interned implementations,
+array for array.
 
 A second machine mutates a live :class:`~repro.service.RecommenderService`
 through its ``ModelManager`` and checks the served ``/spaces``,
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import urllib.request
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -29,8 +33,11 @@ from hypothesis.stateful import (
 
 from repro import obs
 from repro.core import AssociationGoalModel, GoalRecommender, IncrementalGoalModel
+from repro.core.caching import build_served_view
 from repro.core.goal_inference import GoalInferencer
+from repro.core.model import intern_library
 from repro.core.strategies import create_strategy
+from repro.core.vectorized import BatchRecommender
 from repro.obs.metrics import MetricsRegistry
 from repro.service import RecommenderService
 
@@ -65,6 +72,27 @@ class IncrementalModelMachine(RuleBasedStateMachine):
         self.model.remove_implementation(pid)
         del self.live[pid]
 
+    def _first_seen_pids(self) -> list[int]:
+        """Live pids where a label that another live implementation also
+        holds was first seen: removing one permutes the interned ids."""
+        first: dict[str, int] = {}
+        shared: set[int] = set()
+        for pid in sorted(self.live):
+            goal, actions = self.live[pid]
+            for label in (f"goal:{goal}", *actions):
+                if label in first:
+                    shared.add(first[label])
+                else:
+                    first[label] = pid
+        return sorted(shared)
+
+    @precondition(lambda self: self._first_seen_pids())
+    @rule(data=st.data())
+    def remove_first_seen(self, data) -> None:
+        pid = data.draw(st.sampled_from(self._first_seen_pids()))
+        self.model.remove_implementation(pid)
+        del self.live[pid]
+
     # ------------------------------------------------------------------
     # Oracle comparison
     # ------------------------------------------------------------------
@@ -79,6 +107,23 @@ class IncrementalModelMachine(RuleBasedStateMachine):
     @invariant()
     def live_count_matches(self) -> None:
         assert self.model.num_implementations == len(self.live)
+
+    @invariant()
+    def served_build_matches_interned_implementations(self) -> None:
+        """The served build from the log's rows equals the engine built
+        from ``intern_library`` over the log's implementations."""
+        if not self.live:
+            return
+        served = build_served_view(self.model).csr_engine()
+        interned = intern_library(self.model.implementations())
+        reference = BatchRecommender(interned)
+        got, want = served.export_arrays(), reference.export_arrays()
+        assert got.keys() == want.keys()
+        for name, array in want.items():
+            assert got[name].dtype == array.dtype, name
+            np.testing.assert_array_equal(got[name], array, err_msg=name)
+        for table in ("actions", "goals", "action_ids", "goal_ids"):
+            assert getattr(served.labels, table) == getattr(interned.labels, table)
 
     @precondition(lambda self: self.live)
     @rule(activity=activities)

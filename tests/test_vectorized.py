@@ -174,8 +174,11 @@ class TestEagerBuild:
         assert not any(
             hasattr(value, "acquire") for value in state.values()
         ), "an engine holds no locks"
-        col_rows, val_rows = engine._cooc
-        assert len(col_rows) == len(val_rows) == model.num_actions
+        indptr = engine.export_arrays()["cooc_indptr"]
+        assert indptr.size == model.num_actions + 1
+        for aid in range(model.num_actions):
+            cols, vals = engine.cooccurrence_row(aid)
+            assert cols.size == vals.size == indptr[aid + 1] - indptr[aid]
 
     def test_init_and_from_arrays_answer_identically(self, scenarios):
         for model, _, engine, activities in scenarios:

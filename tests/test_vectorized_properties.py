@@ -265,11 +265,8 @@ def test_cooccurrence_rows_follow_the_lexsort_order(pairs, orphans):
     shared = BatchRecommender.from_arrays(model, engine.export_arrays())
     expected = _reference_cooccurrence_rows(model)
     for candidate in (engine, shared):
-        col_rows, val_rows = candidate._cooc
-        assert [
-            (cols.tolist(), vals.tolist())
-            for cols, vals in zip(col_rows, val_rows)
-        ] == expected
+        rows = [candidate.cooccurrence_row(b) for b in range(model.num_actions)]
+        assert [(cols.tolist(), vals.tolist()) for cols, vals in rows] == expected
 
 
 def _entries_near_the_top(n_actions, max_count):
