@@ -4,14 +4,18 @@ The serving layer builds one CSR engine per model generation — at start-up
 and again on every PUT or DELETE, under the swap's write lock — so its
 construction time is set-up and mutation latency.  The build is NumPy
 array work end to end: ``M`` comes straight from the id-sorted
-implementation rows, and the co-occurrence index ``S = MᵀM`` is ordered
-by one argsort over packed int64 keys (``_frequency_order``) instead of a
-three-key ``np.lexsort``.
+implementation rows, ``Mᵀ`` and ``C = MᵀG`` are sorts of packed int64
+keys, and the co-occurrence index ``S = MᵀM`` counts each
+implementation's action pairs and orders every row by one sort of packed
+int64 keys.
 
-The bench times the whole build (median of ``REPEATS``) and the ordering
-step alone against the lexsort it replaces, and asserts that every row of
-the engine's co-occurrence index follows the lexsort reference order
-``(-count, action_id)``.
+The bench times the whole build (median of ``REPEATS``) and, report-only,
+the SciPy sparse products that compute ``Mᵀ``, ``MᵀG`` and ``MᵀM`` from
+the same ``M``: SciPy is the reference here, not part of the engine.  It
+asserts that every row of the engine's co-occurrence index equals the
+reference ``MᵀM`` row in the lexsort order ``(-count, action_id)``, and
+that every row of ``C`` holds the reference ``MᵀG`` row's ``(goal,
+count)`` pairs, ascending by goal.
 
 It also times a served generation's build from the mutation log both
 ways: the old path, ``log.freeze()`` (an ``AssociationGoalModel`` with
@@ -52,7 +56,7 @@ from conftest import publish
 
 from repro.core import AssociationGoalModel, IncrementalGoalModel
 from repro.core.model import intern_rows
-from repro.core.vectorized import BatchRecommender, _frequency_order
+from repro.core.vectorized import BatchRecommender
 from repro.data import FoodMartConfig, generate_foodmart
 from repro.eval import format_table
 from repro.storage import JsonLibraryStore
@@ -86,7 +90,7 @@ def _median_ms(fn) -> tuple[float, object]:
 #: and after one served generation build (``null`` without ``/proc``).
 _PSS_PROBE = """
 import gc, json, sys
-import repro.core.vectorized, scipy.sparse  # imports are not build cost
+import repro.core.vectorized  # imports are not build cost
 from repro.core import IncrementalGoalModel
 from repro.core.caching import build_served_view
 from repro.storage import JsonLibraryStore
@@ -150,26 +154,41 @@ def test_engine_build(library, model, tmp_path):
         assert new_arrays[name].dtype == array.dtype, name
         np.testing.assert_array_equal(new_arrays[name], array, err_msg=name)
 
-    # The lexsort reference over the same S entries, from the engine's
-    # own CSR ``M``.
+    # The SciPy reference products over the engine's own CSR ``M``.
+    n_impl, n_actions = model.num_implementations, model.num_actions
     m = sparse.csr_matrix(
         (np.ones(engine._m_indices.size), engine._m_indices, engine._m_indptr),
-        shape=(model.num_implementations, model.num_actions),
+        shape=(n_impl, n_actions),
     )
-    s = (m.T.tocsr() @ m).tocsr()
-    n_actions = model.num_actions
+    g = sparse.csr_matrix(
+        (np.ones(n_impl), engine._goal_of_impl, np.arange(n_impl + 1)),
+        shape=(n_impl, model.num_goals),
+    )
+
+    def reference_products():
+        mt = m.T.tocsr()
+        return mt, (mt @ g).tocsr(), (mt @ m).tocsr()
+
+    spmm_ms, (mt, c, s) = _median_ms(reference_products)
+    arrays = engine.export_arrays()
+    np.testing.assert_array_equal(arrays["post_indptr64"], mt.indptr)
+    np.testing.assert_array_equal(arrays["post_indices64"], mt.indices)
+    np.testing.assert_array_equal(arrays["c_indptr64"], c.indptr)
+    for aid in range(n_actions):
+        start, end = c.indptr[aid], c.indptr[aid + 1]
+        order = np.argsort(c.indices[start:end])
+        np.testing.assert_array_equal(
+            arrays["c_indices64"][start:end], c.indices[start:end][order]
+        )
+        np.testing.assert_array_equal(
+            arrays["c_data"][start:end], c.data[start:end][order]
+        )
     rows = np.repeat(np.arange(n_actions), np.diff(s.indptr))
-    lexsort_ms, reference = _median_ms(
-        lambda: np.lexsort((s.indices, -s.data, rows))
-    )
-    packed_ms, order = _median_ms(
-        lambda: _frequency_order(rows, s.data, s.indices, n_actions)
-    )
-    np.testing.assert_array_equal(order, reference)
+    reference = np.lexsort((s.indices, -s.data, rows))
     boundaries = s.indptr[1:-1]
     expected_cols = np.split(s.indices[reference], boundaries)
     expected_vals = np.split(s.data[reference], boundaries)
-    assert engine.export_arrays()["cooc_indptr"].size == n_actions + 1
+    assert arrays["cooc_indptr"].size == n_actions + 1
     for aid, (want_cols, want_vals) in enumerate(zip(expected_cols, expected_vals)):
         got_cols, got_vals = engine.cooccurrence_row(aid)
         np.testing.assert_array_equal(got_cols, want_cols)
@@ -187,9 +206,13 @@ def test_engine_build(library, model, tmp_path):
             ["actions", n_actions],
             ["S nonzeros", s.nnz],
             [f"BatchRecommender(model) ms (median of {REPEATS})", f"{build_ms:.1f}"],
-            ["S row order: np.lexsort ms", f"{lexsort_ms:.1f}"],
-            ["S row order: packed-key argsort ms", f"{packed_ms:.1f}"],
-            ["S rows equal the lexsort reference", "yes"],
+            [
+                "NumPy build vs SciPy spmm reference ms (report-only)",
+                f"{build_ms:.1f} vs {spmm_ms:.1f}",
+            ],
+            ["posting lists equal the reference Mᵀ", "yes"],
+            ["C rows equal MᵀG, ascending by goal", "yes"],
+            ["S rows equal MᵀM in the lexsort order", "yes"],
             ["generation from the log: freeze() ms", f"{freeze_ms:.1f}"],
             ["  + BatchRecommender(frozen model) ms", f"{frozen_build_ms:.1f}"],
             ["  = old generation build ms", f"{freeze_ms + frozen_build_ms:.1f}"],

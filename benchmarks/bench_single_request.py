@@ -170,7 +170,7 @@ def test_csr_hot_path_speedup_with_parity(paper_workload):
     model, activities = paper_workload
     scalar = GoalRecommender(model, use_csr=False)
     csr = GoalRecommender(CachedModelView(model))
-    assert csr.csr_engine() is not None, "SciPy missing: nothing to gate"
+    assert csr.csr_engine() is not None, "no CSR engine: nothing to gate"
 
     rows = []
     failures = []
@@ -240,7 +240,7 @@ def test_dense_checksums(dense_workload):
     model, activities = dense_workload
     csr = GoalRecommender(CachedModelView(model))
     engine = csr.csr_engine()
-    assert engine is not None, "SciPy missing: nothing to gate"
+    assert engine is not None, "no CSR engine: nothing to gate"
     encoded = [model.encode_activity(a) for a in activities]
     widest = max(engine.space_sizes(e)[0] for e in encoded if e)
     assert widest > _PARTITION_CUTOVER, (

@@ -59,7 +59,7 @@ from repro.core.recommender import GoalRecommender
 from repro.resilience.faults import inject
 from repro.utils.concurrency import make_lock
 
-if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy
     from repro.core.vectorized import BatchRecommender, EngineSource
 
 _SENTINEL = object()
@@ -518,9 +518,9 @@ _TRIM_DEFERRED = threading.local()
 def trim_heap() -> None:
     """Return the heap pages a generation build freed to the OS.
 
-    After the first large NumPy or SciPy temporary is freed, glibc raises
-    its dynamic mmap threshold, so the build's later temporaries (the
-    ``MᵀM`` product, the sort keys) come from the heap, whose freed pages
+    After the first large NumPy temporary is freed, glibc raises its
+    dynamic mmap threshold, so the build's later temporaries (the
+    ``MᵀM`` pair keys, the sort keys) come from the heap, whose freed pages
     stay resident: 28.6 MB on a dense 12K-recipe library
     (docs/performance.md, "Served-process memory").  ``malloc_trim(0)``
     releases them in about 1 ms.  A no-op where the C library has no

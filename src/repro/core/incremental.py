@@ -30,6 +30,7 @@ sorts a row again.  The same tuple is the dedup key.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from typing import cast
 
 from repro.core.entities import ActionLabel, GoalImplementation, GoalLabel
 from repro.core.library import ImplementationLibrary
@@ -50,8 +51,19 @@ _GUARDED_BY = {
 
 def _row(goal: GoalLabel, actions: Iterable[ActionLabel]) -> LabelRow:
     """The ``(goal, labels)`` row of an implementation: its distinct
-    actions in the interning walk's order."""
-    return goal, tuple(sorted(frozenset(actions), key=str))
+    actions in the interning walk's order (sorted by ``str``).
+
+    ``str`` labels sort the same with and without ``key=str``, and the
+    key-less sort skips a ``str()`` call per label; ``"".join`` raises
+    unless every label is a ``str``, and then the keyed sort runs.
+    """
+    labels = frozenset(actions)
+    try:
+        ordered = sorted(cast("frozenset[str]", labels))
+        "".join(ordered)
+    except TypeError:
+        return goal, tuple(sorted(labels, key=str))
+    return goal, tuple(ordered)
 
 
 class IncrementalGoalModel:

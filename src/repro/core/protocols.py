@@ -38,7 +38,7 @@ from repro.core.entities import (
     RecommendationList,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy
     from repro.core.vectorized import BatchRecommender
 
 

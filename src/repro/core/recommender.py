@@ -30,7 +30,7 @@ from repro.core.strategies import RankingStrategy, create_strategy
 from repro.core.strategies.base import require_request_count
 from repro.resilience.deadlines import enter_stage
 
-if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy
     from repro.core.vectorized import BatchRecommender
 
 #: The strategy names the paper evaluates, in its presentation order.

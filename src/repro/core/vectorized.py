@@ -21,8 +21,9 @@ half):
 - ``S = Mᵀ M`` (actions × actions): the co-occurrence counts, each row
   ordered by ``(-count, action_id)``.
 
-SciPy's sparse products compute ``C`` and ``S`` at construction; the engine
-keeps no matrix object, and no per-row view either: a request slices the
+Construction computes ``Mᵀ``, ``C`` and ``S`` with NumPy sorts and
+counts (no sparse-matrix library); the engine keeps no matrix object,
+and no per-row view either: a request slices the
 rows it reads out of the flat arrays, between bounds read from each
 index's ``indptr``, which the engine keeps once as a Python list.  With
 ``H`` a user's activity:
@@ -67,7 +68,6 @@ from itertools import chain
 from typing import Protocol, TypeVar
 
 import numpy as np
-from scipy import sparse
 
 from repro import obs
 from repro.core.entities import (
@@ -94,6 +94,15 @@ _PARTITION_CUTOVER = 4096
 #: The Focus walk's first window holds ``max(2 * k, _FIRST_WINDOW)``
 #: implementations; a walk that runs past it widens the ranked prefix.
 _FIRST_WINDOW = 16
+
+#: The co-occurrence build counts action pairs in an ``n_actions²`` table
+#: when that table has at most this many slots per pair, and by sorting
+#: the pairs' keys otherwise.
+_TABLE_SLOTS_PER_PAIR = 4
+
+#: The co-occurrence rows are ordered by one packed int64 key while every
+#: key stays below this bound, and by a three-key ``np.lexsort`` beyond it.
+_PACKED_KEY_LIMIT = 2**63
 
 #: Best Match sums the candidates' rows of ``C`` by one sweep over all of
 #: ``C`` once those rows hold more than this share of its entries, and by
@@ -145,8 +154,7 @@ def _gather_positions(
     Returns ``(positions, lengths)`` where ``positions`` indexes the CSR
     ``indices``/``data`` arrays for every entry of every requested row,
     concatenated in row order, and ``lengths`` is the per-row entry count.
-    Pure index arithmetic; no Python loop and no scipy fancy indexing
-    (which would copy through an extractor matrix).
+    Pure index arithmetic; no Python loop.
     """
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
@@ -189,30 +197,109 @@ def _ranked_windows(
         done, width = width, 2 * width
 
 
-def _frequency_order(
-    rows: np.ndarray, counts: np.ndarray, cols: np.ndarray, n_actions: int
-) -> np.ndarray:
-    """The permutation sorting entries by ``(row, -count, col)``.
+def _run_lengths(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array, and how often each occurs."""
+    size = ordered.size
+    boundary = np.empty(size, dtype=bool)
+    boundary[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    # Each run ends where the next starts; ``np.diff(starts, append=size)``
+    # computes the same with several microseconds of argument handling, a
+    # sizeable share of a sparse request.
+    counts = np.empty(starts.size, dtype=np.int64)
+    counts[:-1] = starts[1:]
+    counts[-1:] = size
+    counts -= starts
+    return ordered[starts], counts
 
-    ``rows`` and ``cols`` are action ids below ``n_actions`` and ``counts``
-    positive integers (as float64); ``(row, col)`` pairs are unique.  One
-    argsort over the packed key ``(row * span + span - 1 - count) *
-    n_actions + col``, with ``span = max count + 1``, orders exactly like
-    the three-key ``np.lexsort`` — every key is unique, so the sort's
-    stability does not matter — at a fraction of its cost.  The key fits
-    int64 while ``n_actions² · span < 2⁶³``; beyond that the lexsort runs.
+
+def _row_bounds(row_sizes: np.ndarray) -> np.ndarray:
+    """A CSR ``indptr`` from per-row entry counts."""
+    indptr = np.zeros(row_sizes.size + 1, dtype=np.int64)
+    np.cumsum(row_sizes, out=indptr[1:])
+    return indptr
+
+
+def _pair_keys(
+    m_indptr: np.ndarray, m_indices: np.ndarray, n_actions: int
+) -> Iterator[np.ndarray]:
+    """The key ``a * n_actions + b`` of every pair ``a < b`` of actions
+    sharing an implementation, once per implementation, in pieces.
+
+    Implementations are grouped by length ``L``; each group's rows are
+    gathered as one ``(n, L)`` block, ascending along each row, and the
+    group yields one ``(n, L - 1 - i)`` piece per column ``i``: column
+    ``i``'s actions paired with every later column.  No piece is longer
+    than ``M`` has entries, so the keys never need to exist all at once.
     """
-    if counts.size == 0:
-        return np.empty(0, dtype=np.intp)
-    span = int(counts.max()) + 1
-    if n_actions * n_actions * span >= 2**63:
-        return np.lexsort((cols, -counts, rows))
-    key = rows.astype(np.int64) * span
-    key += span - 1
-    key -= counts.astype(np.int64)
-    key *= n_actions
-    key += cols
-    return np.argsort(key)
+    lengths = np.diff(m_indptr)
+    by_length = np.argsort(lengths, kind="stable")
+    ordered = lengths[by_length]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    for group in np.split(by_length, cuts):
+        width = int(lengths[group[0]])
+        if width < 2:
+            continue
+        block = m_indices[m_indptr[group, None] + np.arange(width)]
+        scaled = block * n_actions
+        for i in range(width - 1):
+            yield scaled[:, i, None] + block[:, i + 1:]
+
+
+def _frequency_rows(
+    upper: np.ndarray, counts: np.ndarray, diagonal: np.ndarray, n_actions: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetric co-occurrence index, every row in ``(-count, col)``
+    order: CSR ``(columns, counts, indptr)`` arrays.
+
+    ``upper`` holds the distinct keys ``a * n_actions + b`` of the
+    entries above the diagonal (``a < b``), with their positive
+    ``counts``; ``diagonal[a]`` is entry ``(a, a)``, absent where 0.
+    Each upper entry is written for both ``(a, b)`` and ``(b, a)``.  One
+    in-place ``np.sort`` of the packed key ``(row * span + span - 1 -
+    count) * n_actions + col``, with ``span = max count + 1``, orders the
+    entries exactly like the three-key ``np.lexsort`` — every key is
+    unique — at a fraction of its cost, and the columns and counts are
+    decoded from the sorted keys.  The key fits int64 while
+    ``n_actions² · span < 2⁶³`` (:data:`_PACKED_KEY_LIMIT`); beyond that
+    the lexsort runs.
+    """
+    rows, cols = np.divmod(upper, n_actions)
+    diag = np.flatnonzero(diagonal)
+    row_sizes = np.bincount(rows, minlength=n_actions)
+    row_sizes += np.bincount(cols, minlength=n_actions)
+    row_sizes[diag] += 1
+    indptr = _row_bounds(row_sizes)
+    span = int(max(counts.max(initial=0), diagonal.max(initial=0))) + 1
+    parts = (
+        (rows, cols, counts), (cols, rows, counts),
+        (diag, diag, diagonal[diag]),
+    )
+    if n_actions * n_actions * span >= _PACKED_KEY_LIMIT:
+        every_row, every_col, every_count = (
+            np.concatenate(column) for column in zip(*parts)
+        )
+        order = np.lexsort((every_col, -every_count, every_row))
+        return (
+            every_col[order], every_count[order].astype(np.float64), indptr
+        )
+    key = np.empty(2 * upper.size + diag.size, dtype=np.int64)
+    start = 0
+    for row, col, count in parts:
+        part = key[start:start + row.size]
+        np.multiply(row, span, out=part)
+        part += span - 1
+        part -= count
+        part *= n_actions
+        part += col
+        start += row.size
+    del rows, cols, parts
+    key.sort()
+    cols = key % n_actions
+    key //= n_actions
+    key %= span
+    return cols, np.subtract(span - 1, key, dtype=np.float64), indptr
 
 
 class BatchRecommender:
@@ -238,16 +325,15 @@ class BatchRecommender:
         impl_rows = source.impl_rows
         n_impl = len(impl_rows)
         n_actions = len(labels.actions)
+        n_goals = len(labels.goals)
         # The per-implementation action lists come sorted by id: flattened
-        # they *are* ``M``'s canonical CSR structure, so no COO conversion
-        # runs.  int64 throughout: the gather arithmetic's cumulative
-        # offsets would overflow scipy's int32 on very large models.
-        self._m_indptr = np.zeros(n_impl + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(map(len, impl_rows), dtype=np.int64, count=n_impl),
-            out=self._m_indptr[1:],
+        # they *are* ``M``'s canonical CSR structure.  int64 throughout:
+        # the gather arithmetic's cumulative offsets and the packed sort
+        # keys below would overflow int32 on large models.
+        self._m_indptr = _row_bounds(
+            np.fromiter(map(len, impl_rows), dtype=np.int64, count=n_impl)
         )
-        self._m_indices = np.fromiter(
+        self._m_indices = m_indices = np.fromiter(
             chain.from_iterable(impl_rows),
             dtype=np.int64,
             count=int(self._m_indptr[-1]),
@@ -255,27 +341,34 @@ class BatchRecommender:
         self._goal_of_impl = np.fromiter(
             source.impl_goal, dtype=np.int64, count=n_impl
         )
-        # The sparse matrices only compute the derived indexes; the engine
-        # keeps none of them.
-        m = sparse.csr_matrix(
-            (np.ones(self._m_indices.size), self._m_indices, self._m_indptr),
-            shape=(n_impl, n_actions),
-        )
-        mt = m.T.tocsr()
-        g = sparse.csr_matrix(
-            (np.ones(n_impl), self._goal_of_impl, np.arange(n_impl + 1)),
-            shape=(n_impl, len(labels.goals)),
-        )
+        impl_of_entry = np.repeat(np.arange(n_impl), np.diff(self._m_indptr))
+        # Mᵀ, the A-GI posting lists: the packed key ``action * n_impl +
+        # pid`` sorts by action, then by pid, so each posting list comes
+        # out ascending.
+        post_lengths = np.bincount(m_indices, minlength=n_actions)
+        self._post_indptr = _row_bounds(post_lengths)
+        key = m_indices * n_impl
+        key += impl_of_entry
+        key.sort()
+        key %= n_impl
+        self._post_indices = key
         # C[a, g]: number of implementations of goal g containing action a
-        # (Equation 8's counts for every action at once).
-        c = (mt @ g).tocsr()
-        self._post_indptr = mt.indptr.astype(np.int64)
-        self._post_indices = mt.indices.astype(np.int64)
-        self._c_data = c.data
-        self._c_indptr = c.indptr.astype(np.int64)
-        self._c_indices = c.indices.astype(np.int64)
+        # (Equation 8's counts for every action at once), the run lengths
+        # of the sorted ``action * n_goals + goal`` keys: each row comes
+        # out ascending by goal id.
+        key = m_indices * n_goals
+        key += self._goal_of_impl[impl_of_entry]
+        key.sort()
+        key, counts = _run_lengths(key)
+        rows, self._c_indices = np.divmod(key, n_goals)
+        self._c_indptr = _row_bounds(np.bincount(rows, minlength=n_actions))
+        self._c_data = counts.astype(np.float64)
+        # Freed before the co-occurrence build, the largest step.
+        del impl_of_entry, key, rows, counts
         self._cooc_cols, self._cooc_vals, self._cooc_indptr = (
-            self._build_cooccurrence(m, mt, n_actions)
+            self._build_cooccurrence(
+                self._m_indptr, m_indices, post_lengths, n_actions
+            )
         )
         self._derive_views(labels)
 
@@ -406,26 +499,15 @@ class BatchRecommender:
         if not activity:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         touched = self._postings(activity)
-        size = touched.size
-        if size == 0:
-            return touched, touched
         touched.sort()
-        boundary = np.empty(size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(touched[1:], touched[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        # Each run ends where the next starts; ``np.diff(starts,
-        # append=size)`` computes the same with several microseconds of
-        # argument handling, a sizeable share of a sparse request.
-        overlaps = np.empty(starts.size, dtype=np.int64)
-        overlaps[:-1] = starts[1:]
-        overlaps[-1] = size
-        overlaps -= starts
-        return touched[starts], overlaps
+        return _run_lengths(touched)
 
     @staticmethod
     def _build_cooccurrence(
-        m: sparse.csr_matrix, mt: sparse.csr_matrix, n_actions: int
+        m_indptr: np.ndarray,
+        m_indices: np.ndarray,
+        post_lengths: np.ndarray,
+        n_actions: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The frequency-ordered co-occurrence index, as CSR ``(columns,
         counts, indptr)`` arrays.
@@ -435,16 +517,36 @@ class BatchRecommender:
         ``c``, so summing the rows of the activity's actions *is* the
         Breadth ranking, and truncating each row to its heaviest entries is
         the approximate tier's budgeted traversal.  A request is one
-        ``np.concatenate`` of ``|H|`` row slices.  Building S costs one spmm
-        plus one argsort over packed int64 keys (:func:`_frequency_order`):
-        about 0.2 s at dense FoodMart scale (1.5M nonzeros), half of it
-        the spmm.
+        ``np.concatenate`` of ``|H|`` row slices.
+
+        Only the upper triangle is counted, from each implementation's
+        pairs (:func:`_pair_keys`); the diagonal is the posting-list
+        lengths.  When an ``n_actions²`` table has at most
+        :data:`_TABLE_SLOTS_PER_PAIR` slots per pair (a dense catalog), the
+        pieces are added into it as they come, so the pairs never exist
+        all at once; otherwise they are written into one array, sorted
+        and run-length encoded.  :func:`_frequency_rows` mirrors and
+        orders the counts.
         """
-        s = (mt @ m).tocsr()
-        indptr = s.indptr.astype(np.int64)
-        row_of = np.repeat(np.arange(n_actions), np.diff(indptr))
-        order = _frequency_order(row_of, s.data, s.indices, n_actions)
-        return s.indices.astype(np.int64)[order], s.data[order], indptr
+        lengths = np.diff(m_indptr)
+        pair_count = int((lengths * (lengths - 1) // 2).sum())
+        if n_actions * n_actions <= _TABLE_SLOTS_PER_PAIR * pair_count:
+            table = np.zeros(n_actions * n_actions, dtype=np.int64)
+            for keys in _pair_keys(m_indptr, m_indices, n_actions):
+                np.add.at(table, keys, 1)
+            upper = np.flatnonzero(table)
+            counts = table[upper]
+            del table
+        else:
+            pairs = np.empty(pair_count, dtype=np.int64)
+            start = 0
+            for keys in _pair_keys(m_indptr, m_indices, n_actions):
+                pairs[start:start + keys.size] = keys.ravel()
+                start += keys.size
+            pairs.sort()
+            upper, counts = _run_lengths(pairs)
+            del pairs
+        return _frequency_rows(upper, counts, post_lengths, n_actions)
 
     @staticmethod
     def _ranked_pairs(

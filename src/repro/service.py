@@ -167,7 +167,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Literal
 
-if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy (keeps SciPy off import)
+if TYPE_CHECKING:  # pragma: no cover - the runtime import is lazy
     from repro.core.vectorized import BatchRecommender
 
 from repro import obs

@@ -236,12 +236,65 @@ sys.path.insert(0, sys.argv[1])
 from repro import cli
 args = cli._build_parser().parse_args(["serve", "--library", sys.argv[2], "--port", "0"])
 assert cli._cmd_serve(args, block=False) == 0
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: ``repro serve`` on an ephemeral port; with ``block`` first, a
+#: ``sys.meta_path`` finder makes every ``scipy`` import raise.
+_SCIPY_BLOCKING_SERVE = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+sys.path.insert(0, sys.argv[2])
+from repro.cli import main
+sys.exit(main(["serve", "--library", sys.argv[3], "--port", "0"]))
 """
 
 
+def _recommend_from_a_serve(library_path, mode):
+    """Start ``repro serve`` in a subprocess, ask it for one
+    recommendation, stop it, and return the status and decoded body."""
+    import http.client
+    import re
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    server = subprocess.Popen(
+        [sys.executable, "-c", _SCIPY_BLOCKING_SERVE, mode, str(src),
+         str(library_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        banner = server.stdout.readline()
+        address = re.search(r"http://([^:/\s]+):(\d+)", banner)
+        assert address, (banner, server.stderr.read() if not banner else "")
+        conn = http.client.HTTPConnection(
+            address.group(1), int(address.group(2)), timeout=30
+        )
+        conn.request(
+            "POST", "/recommend",
+            body=json.dumps({"activity": ["potatoes"], "k": 5}),
+        )
+        response = conn.getresponse()
+        result = response.status, json.loads(response.read())
+        conn.close()
+        return result
+    finally:
+        server.terminate()
+        server.communicate(timeout=30)
+
+
 class TestServeImports:
-    """A serve start loads none of the offline subsystems."""
+    """A serve start loads none of the offline subsystems, and no SciPy."""
 
     def test_serve_imports_no_offline_module(self, library_path):
         import subprocess
@@ -256,11 +309,17 @@ class TestServeImports:
         loaded = json.loads(result.stdout.splitlines()[-1])
         assert "repro.service" in loaded and "repro.core.vectorized" in loaded
         offline = ("repro.eval", "repro.baselines", "repro.text", "repro.data",
-                   "repro.experiments")
+                   "repro.experiments", "scipy")
         assert [
             name for name in loaded
             if any(name == root or name.startswith(root + ".") for root in offline)
         ] == []
+
+    def test_serve_answers_the_same_without_scipy(self, library_path):
+        blocked = _recommend_from_a_serve(library_path, "block")
+        assert blocked[0] == 200
+        assert blocked[1]["recommendations"]
+        assert blocked == _recommend_from_a_serve(library_path, "allow")
 
 
 class TestProfileFlag:

@@ -84,6 +84,19 @@ class TestAdd:
         for pid in (0, 1):
             assert served.implementation(pid) == reference.implementation(pid)
 
+    def test_rows_keep_the_str_order_of_any_label(self):
+        """``str`` rows sort without a key; rows of other labels still
+        sort by ``str``, where ``10`` comes before ``9``."""
+        log = IncrementalGoalModel()
+        log.add_implementation("text", ["b10", "b9", "a"])
+        log.add_implementation("ints", [9, 10, 100])
+        log.add_implementation("mixed", [9, "10", None])
+        assert list(log.rows()) == [
+            ("text", ("a", "b10", "b9")),
+            ("ints", (10, 100, 9)),
+            ("mixed", ("10", 9, None)),
+        ]
+
     def test_empty_actions_rejected(self, model):
         with pytest.raises(ModelError, match="no actions"):
             model.add_implementation("g9", [])

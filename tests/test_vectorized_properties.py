@@ -27,7 +27,7 @@ from repro.core.strategies import create_strategy
 from repro.core.strategies.ensemble import EnsembleStrategy
 from repro.core.vectorized import (
     BatchRecommender,
-    _frequency_order,
+    _frequency_rows,
     _ranked_windows,
 )
 
@@ -270,28 +270,37 @@ def test_cooccurrence_rows_follow_the_lexsort_order(pairs, orphans):
 
 
 def _entries_near_the_top(n_actions, max_count):
-    """Unique ``(row, col)`` pairs among the highest ids, with ``counts``
-    reaching ``max_count`` — the entries whose packed keys are largest."""
+    """Upper-triangle keys among the 12 highest ids and the diagonal of
+    those ids, with counts reaching ``max_count`` — the entries whose
+    packed keys are largest."""
     rng = np.random.default_rng(max_count)
-    top = n_actions - 1 - np.arange(12)
-    rows = np.repeat(top, top.size)
-    cols = np.tile(top, top.size)
-    counts = rng.integers(1, max_count + 1, size=rows.size).astype(np.float64)
-    counts[rng.integers(rows.size)] = max_count
-    return rows, counts, cols
+    top = np.arange(n_actions - 12, n_actions)
+    above, below = np.triu_indices(top.size, 1)
+    upper = top[above] * n_actions + top[below]
+    counts = rng.integers(1, max_count + 1, size=upper.size)
+    counts[rng.integers(upper.size)] = max_count
+    diagonal = np.zeros(n_actions, dtype=np.int64)
+    diagonal[top] = rng.integers(1, max_count + 1, size=top.size)
+    return upper, counts, diagonal
 
 
 @pytest.mark.parametrize(
     ("max_count", "packed"),
-    # n_actions = 2³⁰, so n_actions² · span reaches 2⁶³ at span = 8.
-    [(6, True), (7, False), (1000, False)],
+    # n_actions = 64, so n_actions² · span reaches 2⁶³ at span = 2⁵¹.
+    [(6, True), (2**51 - 2, True), (2**51 - 1, False), (2**52, False)],
+    ids=["ties", "below", "at", "above"],
 )
-def test_frequency_order_matches_lexsort_on_both_sides_of_the_key_bound(
+def test_frequency_rows_match_lexsort_around_the_key_bound(
     monkeypatch, max_count, packed
 ):
-    n_actions = 2**30
-    rows, counts, cols = _entries_near_the_top(n_actions, max_count)
-    expected = np.lexsort((cols, -counts, rows))
+    n_actions = 64
+    upper, counts, diagonal = _entries_near_the_top(n_actions, max_count)
+    a, b = np.divmod(upper, n_actions)
+    ids = np.flatnonzero(diagonal)
+    rows = np.concatenate((a, b, ids))
+    cols = np.concatenate((b, a, ids))
+    values = np.concatenate((counts, counts, diagonal[ids]))
+    expected = np.lexsort((cols, -values, rows))
     calls = []
     lexsort = np.lexsort
 
@@ -300,14 +309,99 @@ def test_frequency_order_matches_lexsort_on_both_sides_of_the_key_bound(
         return lexsort(keys)
 
     monkeypatch.setattr(np, "lexsort", spy)
-    order = _frequency_order(rows, counts, cols, n_actions)
-    np.testing.assert_array_equal(order, expected)
+    got_cols, got_counts, indptr = _frequency_rows(
+        upper, counts, diagonal, n_actions
+    )
+    np.testing.assert_array_equal(got_cols, cols[expected])
+    assert got_counts.dtype == np.float64
+    np.testing.assert_array_equal(got_counts, values[expected])
+    np.testing.assert_array_equal(
+        np.diff(indptr), np.bincount(rows, minlength=n_actions)
+    )
     assert len(calls) == (0 if packed else 1)
 
 
-def test_frequency_order_of_no_entries():
+def test_frequency_rows_of_no_entries():
     empty = np.empty(0, dtype=np.int64)
-    assert _frequency_order(empty, np.empty(0), empty, 0).size == 0
+    for n_actions in (0, 3):
+        cols, counts, indptr = _frequency_rows(
+            empty, empty, np.zeros(n_actions, dtype=np.int64), n_actions
+        )
+        assert cols.size == counts.size == 0
+        assert indptr.tolist() == [0] * (n_actions + 1)
+
+
+@st.composite
+def build_libraries(draw):
+    """Libraries with 1-action rows, and sometimes an action that every
+    implementation holds (a full row and column of ``S``)."""
+    pairs = draw(any_libraries)
+    pairs = pairs + draw(
+        st.lists(
+            st.tuples(goal_labels, action_labels.map(lambda a: frozenset({a}))),
+            max_size=3,
+        )
+    )
+    if draw(st.booleans()):
+        pairs = [(goal, actions | {"everywhere"}) for goal, actions in pairs]
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "key_limit", [vectorized._PACKED_KEY_LIMIT, 0], ids=["packed", "lexsort"]
+)
+@pytest.mark.parametrize("slots", [0, 10**9], ids=["sorted", "table"])
+@given(build_libraries(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_build_matches_a_scipy_reference(slots, key_limit, pairs, orphans):
+    """The NumPy build against ``Mᵀ``, ``MᵀG`` and ``MᵀM`` from SciPy.
+
+    ``slots`` forces either way of counting the co-occurrence pairs, and
+    ``key_limit`` either way of ordering its rows.
+    """
+    from scipy import sparse
+
+    model = _with_orphan_actions(AssociationGoalModel.from_pairs(pairs), orphans)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "_TABLE_SLOTS_PER_PAIR", slots)
+        patch.setattr(vectorized, "_PACKED_KEY_LIMIT", key_limit)
+        arrays = BatchRecommender(model).export_arrays()
+    n_impl = model.num_implementations
+    rows = [sorted(model.implementation_actions(p)) for p in range(n_impl)]
+    m = sparse.csr_matrix(
+        (
+            np.ones(sum(map(len, rows))),
+            np.concatenate(rows),
+            np.cumsum([0] + [len(row) for row in rows]),
+        ),
+        shape=(n_impl, model.num_actions),
+    )
+    goals = [model.implementation_goal(p) for p in range(n_impl)]
+    g = sparse.csr_matrix(
+        (np.ones(n_impl), goals, np.arange(n_impl + 1)),
+        shape=(n_impl, model.num_goals),
+    )
+    mt = m.T.tocsr()
+    mt.sort_indices()
+    np.testing.assert_array_equal(arrays["post_indptr64"], mt.indptr)
+    np.testing.assert_array_equal(arrays["post_indices64"], mt.indices)
+    c = (mt @ g).tocsr()
+    s = (mt @ m).tocsr()
+    np.testing.assert_array_equal(arrays["c_indptr64"], c.indptr)
+    np.testing.assert_array_equal(arrays["cooc_indptr"], s.indptr)
+    for aid in range(model.num_actions):
+        start, end = c.indptr[aid], c.indptr[aid + 1]
+        got_goals = arrays["c_indices64"][start:end].tolist()
+        got_counts = arrays["c_data"][start:end].tolist()
+        assert got_goals == sorted(set(got_goals))
+        assert list(zip(got_goals, got_counts)) == sorted(
+            zip(c.indices[start:end].tolist(), c.data[start:end].tolist())
+        )
+        start, end = s.indptr[aid], s.indptr[aid + 1]
+        cols, counts = s.indices[start:end], s.data[start:end]
+        order = np.lexsort((cols, -counts))
+        np.testing.assert_array_equal(arrays["cooc_cols"][start:end], cols[order])
+        np.testing.assert_array_equal(arrays["cooc_vals"][start:end], counts[order])
 
 
 # ----------------------------------------------------------------------
