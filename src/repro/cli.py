@@ -43,7 +43,7 @@ import sys
 import threading
 from collections.abc import Callable, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.service import RecommenderService
@@ -84,6 +84,34 @@ def _parse_duration(text: str) -> float:
     if seconds < 0:
         raise ValueError(f"duration must be >= 0, got {text!r}")
     return seconds
+
+
+def _checked(
+    convert: type[int] | type[float], accept: Callable[[float], bool],
+    expected: str,
+) -> Callable[[str], float]:
+    """An ``argparse`` ``type=`` that converts, then range-checks.
+
+    An out-of-range value becomes a usage error naming the flag (exit 2),
+    before the command loads anything.
+    """
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda value: value >= 1, ">= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda value: value >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda value: value > 0, "> 0")
+_NON_NEGATIVE = _checked(float, lambda value: value >= 0, ">= 0")
+_FRACTION = _checked(float, lambda value: 0 <= value <= 1, "in [0, 1]")
+_OPEN_FRACTION = _checked(float, lambda value: 0 < value < 1, "in (0, 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,11 +199,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--cache-size", type=int, default=1024,
+        "--cache-size", type=_NON_NEGATIVE_INT, default=1024,
         help="recommendation LRU capacity (0 disables result caching)",
     )
     serve.add_argument(
-        "--approx-budget", type=int, default=128,
+        "--approx-budget", type=_POSITIVE_INT, default=128,
         help="per-action posting-list cap of the ?tier=approx recommend "
              "path (see docs/performance.md)",
     )
@@ -193,25 +221,25 @@ def _build_parser() -> argparse.ArgumentParser:
              "Server-Timing response header (cheaper traced requests)",
     )
     serve.add_argument(
-        "--slow-threshold", type=float, default=0.1, metavar="SECONDS",
+        "--slow-threshold", type=_NON_NEGATIVE, default=0.1, metavar="SECONDS",
         help="requests slower than this land in GET /debug/slow",
     )
     serve.add_argument(
-        "--slow-log-size", type=int, default=32,
+        "--slow-log-size", type=_POSITIVE_INT, default=32,
         help="how many slow requests /debug/slow retains (slowest kept)",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=64,
+        "--max-inflight", type=_POSITIVE_INT, default=64,
         help="work requests executing concurrently before admission "
              "control starts queueing",
     )
     serve.add_argument(
-        "--max-queue", type=int, default=128,
+        "--max-queue", type=_NON_NEGATIVE_INT, default=128,
         help="requests allowed to wait for an execution slot; beyond "
              "this, requests are shed with 429 + Retry-After",
     )
     serve.add_argument(
-        "--queue-timeout", type=float, default=0.5, metavar="SECONDS",
+        "--queue-timeout", type=_NON_NEGATIVE, default=0.5, metavar="SECONDS",
         help="longest a request waits in the admission queue",
     )
     serve.add_argument(
@@ -234,38 +262,40 @@ def _build_parser() -> argparse.ArgumentParser:
              "here (default: disabled)",
     )
     serve.add_argument(
-        "--telemetry-sample-rate", type=float, default=1.0,
+        "--telemetry-sample-rate", type=_FRACTION, default=1.0,
         help="fraction of requests whose span trees the flight recorder "
              "keeps (head-based, deterministic per request id)",
     )
     serve.add_argument(
-        "--history-interval", type=_parse_duration, default=None,
+        "--history-interval", type=_parse_duration,
+        default=obs.DEFAULT_INTERVAL_SECONDS,
         metavar="DURATION",
         help="metrics-history snapshot cadence behind GET /debug/history "
              "(e.g. '5s'; default 5s)",
     )
     serve.add_argument(
-        "--history-window", type=_parse_duration, default=None,
+        "--history-window", type=_parse_duration,
+        default=obs.DEFAULT_WINDOW_SECONDS,
         metavar="DURATION",
         help="metrics-history retention (e.g. '15m' or '900'; 0 disables "
              "the history layer entirely; default 15m)",
     )
     serve.add_argument(
-        "--slo-availability", type=float, default=0.999,
+        "--slo-availability", type=_OPEN_FRACTION, default=0.999,
         help="availability objective behind the burn-rate gauge "
              "(fraction of requests that must not fail with 5xx)",
     )
     serve.add_argument(
-        "--slo-latency-ms", type=float, default=250.0,
+        "--slo-latency-ms", type=_POSITIVE, default=250.0,
         help="latency objective: requests slower than this are 'slow' "
              "for the latency SLO",
     )
     serve.add_argument(
-        "--slo-latency-target", type=float, default=0.99,
+        "--slo-latency-target", type=_OPEN_FRACTION, default=0.99,
         help="fraction of requests that must meet the latency objective",
     )
     serve.add_argument(
-        "--quality-window", type=int, default=512,
+        "--quality-window", type=_POSITIVE_INT, default=512,
         help="sliding window (requests) of the catalog-coverage tracker",
     )
     serve.add_argument(
@@ -274,12 +304,12 @@ def _build_parser() -> argparse.ArgumentParser:
              "below-threshold in the quality monitor",
     )
     serve.add_argument(
-        "--drift-window", type=int, default=256,
+        "--drift-window", type=_POSITIVE_INT, default=256,
         help="sliding window (requests) of the live activity profile "
              "compared against the drift baseline",
     )
     serve.add_argument(
-        "--drift-threshold", type=float, default=0.25,
+        "--drift-threshold", type=_POSITIVE, default=0.25,
         help="PSI value at which the drift alert raises",
     )
     serve.add_argument(
@@ -297,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "slow_storage) — testing only",
     )
     serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_POSITIVE_INT, default=1, metavar="N",
         help="pre-fork N server processes sharing one port and one "
              "shared-memory copy of the model's numeric state "
              "(see docs/serving.md, 'Multi-worker mode'); 1 keeps the "
@@ -537,35 +567,72 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
+def _service_kwargs(args: argparse.Namespace) -> dict[str, Any]:
+    """The :class:`~repro.service.RecommenderService` keyword arguments that
+    ``repro serve``'s flags set.
+
+    The one mapping from parsed flags to a service: the single-process
+    server and every pool worker are built from its result.  The flags it
+    leaves out configure the process (address, pool, faults, sanitizer).
+    """
+    return {
+        "cache_size": args.cache_size,
+        "approx_budget": args.approx_budget,
+        "enable_tracing": not args.no_tracing,
+        "enable_exemplars": not args.no_exemplars,
+        "trace_detail": not args.no_trace_detail,
+        "slow_threshold_seconds": args.slow_threshold,
+        "slow_log_size": args.slow_log_size,
+        "max_inflight": args.max_inflight,
+        "max_queue": args.max_queue,
+        "queue_timeout_seconds": args.queue_timeout,
+        "retry_after_seconds": args.retry_after,
+        "default_deadline_ms": args.default_deadline_ms,
+        "quality_window": args.quality_window,
+        "score_threshold": args.score_threshold,
+        "drift_window": args.drift_window,
+        "drift_threshold": args.drift_threshold,
+        "slo_availability": args.slo_availability,
+        "slo_latency_ms": args.slo_latency_ms,
+        "slo_latency_target": args.slo_latency_target,
+        "telemetry_dir": args.telemetry_dir,
+        "telemetry_sample_rate": args.telemetry_sample_rate,
+        "history_interval_seconds": args.history_interval,
+        "history_window_seconds": args.history_window,
+    }
+
+
 def _cmd_serve(args: argparse.Namespace, block: bool = True) -> int:
     from repro.resilience import install_faults, parse_fault_spec
-    from repro.service import RecommenderService
+    from repro.service import RecommenderService, ready_banner
     from repro.storage import RetryingLibraryStore
 
-    fault_spec = getattr(args, "fault_spec", None)
-    if fault_spec:
+    # Single flags are range-checked by the parser; the history pair is
+    # checked here, before the library loads or a worker forks.
+    if args.history_window and not (
+        0 < args.history_interval <= args.history_window
+    ):
+        print(
+            f"error: --history-interval ({args.history_interval:g}s) must be "
+            f"> 0 and <= --history-window ({args.history_window:g}s); "
+            "--history-window 0 disables the history",
+            file=sys.stderr,
+        )
+        return 2
+    if args.fault_spec:
         try:
-            install_faults(parse_fault_spec(fault_spec))
+            install_faults(parse_fault_spec(args.fault_spec))
         except ValueError as exc:
             print(f"error: --fault-spec: {exc}", file=sys.stderr)
             return 2
     # Must happen before the service is constructed: the lock factories
     # decide plain-vs-instrumented at construction time.
-    if getattr(args, "lock_sanitizer", False) or os.environ.get(
+    if args.lock_sanitizer or os.environ.get(
         "REPRO_LOCK_SANITIZER", ""
     ) not in ("", "0"):
         from repro.utils.concurrency import enable_lock_sanitizer
 
         enable_lock_sanitizer()
-    history_interval = getattr(args, "history_interval", None)
-    if history_interval is None:
-        history_interval = obs.DEFAULT_INTERVAL_SECONDS
-    history_window = getattr(args, "history_window", None)
-    if history_window is None:
-        history_window = obs.DEFAULT_WINDOW_SECONDS
-    if history_window > 0 and history_interval <= 0:
-        print("error: --history-interval must be > 0", file=sys.stderr)
-        return 2
     # The retrying wrapper absorbs transient load failures (a writer
     # mid-replace, an injected storage fault) with deterministic backoff.
     # The served generations are built from this mutation log; no
@@ -577,73 +644,47 @@ def _cmd_serve(args: argparse.Namespace, block: bool = True) -> int:
     )
     if log.num_implementations == 0:
         raise ModelError("cannot build a model from zero implementations")
-    workers = getattr(args, "workers", 1)
-    if workers is not None and workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if workers and workers > 1:
+    service_kwargs = _service_kwargs(args)
+    if args.workers > 1:
         from repro.serving.workers import run_worker_pool
 
-        return run_worker_pool(log, args, block=block)
+        return run_worker_pool(
+            log,
+            service_kwargs,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            restart_budget=args.worker_restarts,
+            drain_timeout=args.drain_timeout,
+            block=block,
+        )
     service = RecommenderService(
-        log,
-        host=args.host,
-        port=args.port,
-        # getattr: tests drive this with hand-built Namespace objects that
-        # predate the cache flags.
-        cache_size=getattr(args, "cache_size", 1024),
-        approx_budget=getattr(args, "approx_budget", 128),
-        enable_tracing=not getattr(args, "no_tracing", False),
-        enable_exemplars=not getattr(args, "no_exemplars", False),
-        trace_detail=not getattr(args, "no_trace_detail", False),
-        slow_threshold_seconds=getattr(args, "slow_threshold", 0.1),
-        slow_log_size=getattr(args, "slow_log_size", 32),
-        max_inflight=getattr(args, "max_inflight", 64),
-        max_queue=getattr(args, "max_queue", 128),
-        queue_timeout_seconds=getattr(args, "queue_timeout", 0.5),
-        retry_after_seconds=getattr(args, "retry_after", 1.0),
-        default_deadline_ms=getattr(args, "default_deadline_ms", None),
-        quality_window=getattr(args, "quality_window", 512),
-        score_threshold=getattr(args, "score_threshold", 0.05),
-        drift_window=getattr(args, "drift_window", 256),
-        drift_threshold=getattr(args, "drift_threshold", 0.25),
-        slo_availability=getattr(args, "slo_availability", 0.999),
-        slo_latency_ms=getattr(args, "slo_latency_ms", 250.0),
-        slo_latency_target=getattr(args, "slo_latency_target", 0.99),
-        telemetry_dir=getattr(args, "telemetry_dir", None),
-        telemetry_sample_rate=getattr(args, "telemetry_sample_rate", 1.0),
-        history_interval_seconds=history_interval,
-        history_window_seconds=history_window or obs.DEFAULT_WINDOW_SECONDS,
-        history_enabled=history_window > 0,
+        log, host=args.host, port=args.port, **service_kwargs
     )
     service.start()
-    print(
-        f"serving {log.num_implementations} implementations on "
-        f"http://{args.host}:{service.port} "
-        "(endpoints: /health /metrics /model /recommend /recommend/batch "
-        "/spaces /explain /goals /related /debug/vars /debug/slow "
-        "/debug/quality /debug/history /debug/trace/<request-id> "
-        "/debug/locks /debug/profile)",
-        flush=True,
-    )
+    banner = ready_banner(log.num_implementations, args.host, service.port)
     if not block:  # test hook: caller owns the lifecycle
+        print(banner, flush=True)
         service.stop()
         return 0
-    _serve_until_signalled(service, getattr(args, "drain_timeout", 10.0))
+    _serve_until_signalled(service, args.drain_timeout, banner)
     return 0
 
 
 def _serve_until_signalled(
-    service: RecommenderService, drain_timeout: float
+    service: RecommenderService, drain_timeout: float, banner: str
 ) -> None:
-    """Block on the serving thread; SIGTERM/SIGINT trigger a graceful drain.
+    """Print ``banner``, then block on the serving thread; SIGTERM/SIGINT
+    trigger a graceful drain.
 
     Without the handlers, ``docker stop``/Kubernetes termination kills the
     process mid-request.  With them, a signal flips ``/health`` to
     ``draining``, stops accepting, waits for in-flight requests up to
-    ``drain_timeout`` and exits 0.  Handlers can only be installed from
-    the main thread; elsewhere (tests driving the CLI from a worker
-    thread) the plain KeyboardInterrupt path remains.
+    ``drain_timeout`` and exits 0.  They are live before the banner
+    prints, since a supervisor may signal the moment the server announces
+    itself.  Handlers can only be installed from the main thread;
+    elsewhere (tests driving the CLI from a worker thread) the plain
+    KeyboardInterrupt path remains.
     """
     import signal
 
@@ -660,6 +701,7 @@ def _serve_until_signalled(
     if in_main:
         signal.signal(signal.SIGTERM, _drain)
         signal.signal(signal.SIGINT, _drain)
+    print(banner, flush=True)
     thread = service._thread
     if thread is None:  # pragma: no cover - already stopped
         return
@@ -863,7 +905,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     logger = obs.configure_logging(
         level=args.log_level,
         json_logs=args.json_logs,
-        log_file=getattr(args, "log_file", None),
+        log_file=args.log_file,
     )
     obs.log_event(
         logger, "cli.start", version=__version__, run_id=obs.RUN_ID,

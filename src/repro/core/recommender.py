@@ -86,22 +86,6 @@ class GoalRecommender:
                 name: CsrStrategy(engine, name) for name in _CSR_STRATEGIES
             }
 
-    def with_model(self, model: ModelView) -> "GoalRecommender":
-        """A recommender over ``model`` sharing this one's strategy cache.
-
-        Strategies are stateless with respect to the model (it is passed to
-        every ``rank`` call), so a hot-reloading serving layer can rebind
-        the facade to each new model generation without re-instantiating
-        the strategy objects.
-        """
-        rebound = GoalRecommender(
-            model,
-            default_strategy=self.default_strategy,
-            use_csr=self.use_csr,
-        )
-        rebound._strategies = self._strategies
-        return rebound
-
     def csr_engine(self) -> BatchRecommender | None:
         """The CSR engine this recommender routes through, or ``None``."""
         return self._engine
@@ -138,8 +122,7 @@ class GoalRecommender:
 
         Later :meth:`recommend` calls naming it reuse this instance instead
         of instantiating registry defaults — the serving layer uses this to
-        honour ``--approx-budget`` on the ``breadth_pruned`` tier.  The pin
-        survives :meth:`with_model` rebinds (the strategy cache is shared).
+        honour ``--approx-budget`` on the ``breadth_pruned`` tier.
         """
         self._strategies[strategy.name] = strategy
 

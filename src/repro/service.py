@@ -151,7 +151,10 @@ trace detail process-wide — a service without request accounting is not
 observable, and its ``/debug/slow`` span trees and ``/metrics`` exemplars
 need spans and request ids recorded.  Pass ``enable_metrics=False`` /
 ``enable_tracing=False`` / ``enable_exemplars=False`` /
-``trace_detail=False`` to opt out piecewise.
+``trace_detail=False`` to opt out piecewise, and
+``history_window_seconds=0`` to run without the metrics history.  Every
+recorder writes to the process-wide registry (:func:`repro.obs.get_registry`),
+which ``GET /metrics`` serves.
 """
 
 from __future__ import annotations
@@ -329,6 +332,19 @@ def _route_for(path: str) -> _Route | None:
     return route
 
 
+def ready_banner(
+    implementations: int, host: str, port: int, workers: int = 1
+) -> str:
+    """The line ``repro serve`` prints once it answers requests: its
+    address, then every endpoint of :data:`_ROUTES`."""
+    pool = f"{workers} workers; " if workers > 1 else ""
+    endpoints = " ".join(route.endpoint for route in _ROUTES)
+    return (
+        f"serving {implementations} implementations on http://{host}:{port} "
+        f"({pool}endpoints: {endpoints})"
+    )
+
+
 class _ClientError(Exception):
     """A request answered with an error envelope instead of its handler's
     response: raised by the router and the validators, answered once by
@@ -384,7 +400,6 @@ _GUARDED_BY = {
     "ModelManager._log": "_lock",
     "ModelManager._generation": "_lock",
     "ModelManager._snapshot": "_lock",
-    "ModelManager._base_recommender": "_lock",
     "ModelManager._lock": "<final>",
     # Set once during single-threaded worker bootstrap, before the server
     # thread exists; read-only afterwards.
@@ -478,7 +493,6 @@ class ModelManager:
         # built here; the service seeds that itself after construction.
         self._on_swap = on_swap
         self.recommendation_cache = LRUCache(cache_size, name="recommendations")
-        self._base_recommender: GoalRecommender | None = None
         self._snapshot = self._build_snapshot_locked(
             None if engine is None else CachedModelView(engine=engine)
         )
@@ -513,19 +527,12 @@ class ModelManager:
             # The generation's CSR engine is built here, before the
             # snapshot is published.
             cached_view = build_served_view(self._log)
-        if self._base_recommender is None:
-            recommender = GoalRecommender(cached_view)
-            # The approximate tier's budget is service configuration, not a
-            # registry default; the pin lives in the shared strategy cache,
-            # so it survives generation swaps.
-            recommender.use_strategy(
-                PrunedBreadthStrategy(budget=self._approx_budget)
-            )
-        else:
-            # Rebind instead of rebuilding so strategy instances survive
-            # generation swaps.
-            recommender = self._base_recommender.with_model(cached_view)
-        self._base_recommender = recommender
+        recommender = GoalRecommender(cached_view)
+        # The approximate tier's budget is service configuration, not a
+        # registry default: every generation's recommender pins it.
+        recommender.use_strategy(
+            PrunedBreadthStrategy(budget=self._approx_budget)
+        )
         return ModelSnapshot(
             self._generation,
             cached_view,
@@ -1225,13 +1232,13 @@ class _Handler(BaseHTTPRequestHandler):
         if "application/openmetrics-text" in self.headers.get("Accept", ""):
             self._send_text(
                 200,
-                self.service.registry.render_openmetrics(),
+                obs.get_registry().render_openmetrics(),
                 "application/openmetrics-text; version=1.0.0; charset=utf-8",
             )
             return
         self._send_text(
             200,
-            self.service.registry.render(),
+            obs.get_registry().render(),
             "text/plain; version=0.0.4; charset=utf-8",
         )
 
@@ -1718,10 +1725,6 @@ class RecommenderService:
         host: bind address (loopback by default).
         port: TCP port; 0 binds an ephemeral port (read :attr:`port` after
             construction).
-        registry: metrics registry backing ``GET /metrics`` and the request
-            accounting; defaults to the process-wide registry (resolved at
-            request time), which is also where the recommend-path
-            instrumentation records.
         enable_metrics: turn on process-wide metric recording at
             construction.
         enable_tracing: turn on process-wide span recording — required for
@@ -1769,6 +1772,11 @@ class RecommenderService:
             JSONL files (``None`` disables the recorder).
         telemetry_sample_rate: fraction of requests whose span trees the
             recorder persists (head-based, deterministic per request id).
+        history_interval_seconds: capture cadence of the metrics history
+            behind ``GET /debug/history``.
+        history_window_seconds: how far back the metrics history reaches;
+            0 disables it (``GET /debug/history`` then answers
+            ``{"enabled": false}``).
         reuse_port: bind with ``SO_REUSEPORT`` so several worker
             processes can share one explicit port (multi-worker mode).
         listen_socket: adopt an already-bound, already-listening socket
@@ -1788,7 +1796,6 @@ class RecommenderService:
         model: AssociationGoalModel | IncrementalGoalModel,
         host: str = "127.0.0.1",
         port: int = 0,
-        registry: obs.MetricsRegistry | None = None,
         enable_metrics: bool = True,
         enable_tracing: bool = True,
         enable_exemplars: bool = True,
@@ -1813,13 +1820,11 @@ class RecommenderService:
         telemetry_sample_rate: float = 1.0,
         history_interval_seconds: float = obs.DEFAULT_INTERVAL_SECONDS,
         history_window_seconds: float = obs.DEFAULT_WINDOW_SECONDS,
-        history_enabled: bool = True,
         reuse_port: bool = False,
         listen_socket: socket.socket | None = None,
         initial_generation: int = 0,
         engine: BatchRecommender | None = None,
     ) -> None:
-        self._registry = registry
         obs.enable(
             metrics=enable_metrics,
             tracing=enable_tracing,
@@ -1879,15 +1884,13 @@ class RecommenderService:
         )
         self.retry_after_seconds = retry_after_seconds
         self.default_deadline_ms = default_deadline_ms
-        # The metrics history snapshots whatever registry /metrics serves
-        # (the private one in tests, the process-wide one otherwise); its
+        # The metrics history snapshots the registry /metrics serves; its
         # capture thread starts in start() and stops in stop()/drain().
         self.history: obs.MetricsHistory | None = None
-        if history_enabled:
+        if history_window_seconds > 0:
             self.history = obs.MetricsHistory(
                 interval_seconds=history_interval_seconds,
                 window_seconds=history_window_seconds,
-                registry_getter=lambda: self.registry,
             )
         handler = type("BoundHandler", (_Handler,), {"service": self})
         self._server = _build_server(
@@ -1905,11 +1908,6 @@ class RecommenderService:
     def recommender(self) -> GoalRecommender | None:
         """The reference recommender of the current generation."""
         return self.manager.snapshot().recommender
-
-    @property
-    def registry(self) -> obs.MetricsRegistry:
-        """The registry served by ``GET /metrics``."""
-        return self._registry if self._registry is not None else obs.get_registry()
 
     @property
     def port(self) -> int:
@@ -1941,7 +1939,7 @@ class RecommenderService:
                 # drain() may be waiting for the last request to finish.
                 self._inflight_lock.notify_all()
         if obs.metrics_enabled():
-            self.registry.gauge(
+            obs.get_registry().gauge(
                 "repro_http_inflight_requests",
                 "HTTP requests currently being handled.",
             ).set(inflight)
@@ -1959,7 +1957,7 @@ class RecommenderService:
 
     def _publish_draining(self, value: int) -> None:
         if obs.metrics_enabled():
-            self.registry.gauge(
+            obs.get_registry().gauge(
                 "repro_service_draining",
                 "1 while the service is draining (shedding new work).",
             ).set(value)
@@ -2035,7 +2033,7 @@ class RecommenderService:
             # 5xx burns the availability budget; client errors and the 499
             # client-went-away sentinel do not.
             self.slo.observe(status >= 500, elapsed)
-        registry = self.registry
+        registry = obs.get_registry()
         registry.counter(
             "repro_http_requests_total",
             "HTTP requests served, by endpoint, method and status.",
@@ -2086,7 +2084,7 @@ class RecommenderService:
     def _set_profile_active(self, value: int) -> None:
         """Publish the cProfile-session state gauge (1 active, 0 idle)."""
         if obs.metrics_enabled():
-            self.registry.gauge(
+            obs.get_registry().gauge(
                 "repro_profile_active",
                 "1 while an on-demand cProfile session is running.",
             ).set(value)
@@ -2207,7 +2205,7 @@ class RecommenderService:
         self, strategy: str, activities: int, elapsed: float
     ) -> None:
         """Account one batch scoring pass."""
-        registry = self.registry
+        registry = obs.get_registry()
         registry.counter(
             "repro_batch_requests_total",
             "Batch recommendation requests served, by strategy.",

@@ -46,7 +46,6 @@ See docs/serving.md ("Multi-worker mode") for the operator's view.
 
 from __future__ import annotations
 
-import argparse
 import multiprocessing
 import os
 import signal
@@ -99,46 +98,6 @@ _READY_TIMEOUT_SECONDS = 60.0
 #: Backlog of the parent-bound listener (matches a busy ThreadingHTTPServer
 #: better than the stdlib default of 5).
 _LISTEN_BACKLOG = 128
-
-
-def _service_kwargs(args: argparse.Namespace) -> dict[str, Any]:
-    """The ``RecommenderService`` keyword arguments encoded in ``args``.
-
-    Mirrors the single-process path in ``repro.cli._cmd_serve`` (getattr
-    defaults included, so hand-built test namespaces keep working).
-    """
-    history_interval = getattr(args, "history_interval", None)
-    if history_interval is None:
-        history_interval = obs.DEFAULT_INTERVAL_SECONDS
-    history_window = getattr(args, "history_window", None)
-    if history_window is None:
-        history_window = obs.DEFAULT_WINDOW_SECONDS
-    return {
-        "cache_size": getattr(args, "cache_size", 1024),
-        "approx_budget": getattr(args, "approx_budget", 128),
-        "enable_tracing": not getattr(args, "no_tracing", False),
-        "enable_exemplars": not getattr(args, "no_exemplars", False),
-        "trace_detail": not getattr(args, "no_trace_detail", False),
-        "slow_threshold_seconds": getattr(args, "slow_threshold", 0.1),
-        "slow_log_size": getattr(args, "slow_log_size", 32),
-        "max_inflight": getattr(args, "max_inflight", 64),
-        "max_queue": getattr(args, "max_queue", 128),
-        "queue_timeout_seconds": getattr(args, "queue_timeout", 0.5),
-        "retry_after_seconds": getattr(args, "retry_after", 1.0),
-        "default_deadline_ms": getattr(args, "default_deadline_ms", None),
-        "quality_window": getattr(args, "quality_window", 512),
-        "score_threshold": getattr(args, "score_threshold", 0.05),
-        "drift_window": getattr(args, "drift_window", 256),
-        "drift_threshold": getattr(args, "drift_threshold", 0.25),
-        "slo_availability": getattr(args, "slo_availability", 0.999),
-        "slo_latency_ms": getattr(args, "slo_latency_ms", 250.0),
-        "slo_latency_target": getattr(args, "slo_latency_target", 0.99),
-        "telemetry_dir": getattr(args, "telemetry_dir", None),
-        "telemetry_sample_rate": getattr(args, "telemetry_sample_rate", 1.0),
-        "history_interval_seconds": history_interval,
-        "history_window_seconds": history_window or obs.DEFAULT_WINDOW_SECONDS,
-        "history_enabled": history_window > 0,
-    }
 
 
 @dataclass
@@ -694,19 +653,25 @@ def _build_arena(
 
 def run_worker_pool(
     log: IncrementalGoalModel,
-    args: argparse.Namespace,
+    service_kwargs: dict[str, Any],
+    *,
+    host: str,
+    port: int,
+    workers: int,
+    restart_budget: int,
+    drain_timeout: float,
     block: bool = True,
 ) -> int:
-    """Serve ``log`` with ``args.workers`` pre-forked processes.
+    """Serve ``log`` with ``workers`` pre-forked processes.
 
     The multi-worker counterpart of ``repro.cli._cmd_serve``'s
-    single-process path; returns a process exit code.
+    single-process path; returns a process exit code.  Every worker
+    builds its :class:`~repro.service.RecommenderService` from
+    ``service_kwargs``, the same keyword arguments the single process
+    gets.  ``restart_budget`` is the total number of crashed-worker
+    respawns; ``drain_timeout`` bounds each worker's drain on shutdown.
     """
-    workers = int(getattr(args, "workers", 1))
-    host: str = getattr(args, "host", "127.0.0.1")
-    port = int(getattr(args, "port", 0))
-    drain_timeout = float(getattr(args, "drain_timeout", 10.0))
-    restart_budget = int(getattr(args, "worker_restarts", 3))
+    from repro.service import ready_banner
 
     # An explicit port + SO_REUSEPORT → per-worker binds.  Port 0 must
     # use one parent-bound listener: with SO_REUSEPORT every worker
@@ -727,7 +692,7 @@ def run_worker_pool(
         restart_budget=restart_budget,
         drain_timeout=drain_timeout,
         listen_socket=listener,
-        service_kwargs=_service_kwargs(args),
+        service_kwargs=service_kwargs,
     )
     try:
         # Handlers must be live before the ready banner prints: an
@@ -761,13 +726,9 @@ def run_worker_pool(
             supervisor.shutdown()
             return 1
         print(
-            f"serving {log.num_implementations} implementations on "
-            f"http://{host}:{supervisor.port} "
-            f"({workers} workers; endpoints: /health /metrics /model "
-            "/recommend /recommend/batch /spaces /explain /goals "
-            "/related /debug/vars /debug/slow /debug/quality "
-            "/debug/history /debug/trace/<request-id> /debug/locks "
-            "/debug/profile)",
+            ready_banner(
+                log.num_implementations, host, supervisor.port, workers
+            ),
             flush=True,
         )
         if not block:  # test hook: caller owns the lifecycle

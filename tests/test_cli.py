@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface (driving main() directly)."""
 
 import json
+import re
 
 import pytest
 
@@ -169,20 +170,28 @@ class TestGoals:
         assert code == 1
 
 
+def _serve_args(*argv):
+    from repro.cli import _build_parser
+
+    return _build_parser().parse_args(["serve", *argv])
+
+
 class TestServe:
     def test_serve_starts_and_stops(self, library_path, capsys):
-        import argparse
-
         from repro.cli import _cmd_serve
+        from repro.service import _ROUTES
 
-        args = argparse.Namespace(
-            library=library_path, host="127.0.0.1", port=0
-        )
+        args = _serve_args("--library", str(library_path), "--port", "0")
         code = _cmd_serve(args, block=False)
         assert code == 0
-        out = capsys.readouterr().out
-        assert "serving" in out
-        assert "/recommend" in out
+        (banner,) = capsys.readouterr().out.splitlines()
+        assert re.match(
+            r"serving 4 implementations on http://127\.0\.0\.1:\d+ \(endpoints: ",
+            banner,
+        )
+        assert banner.endswith(
+            " ".join(route.endpoint for route in _ROUTES) + ")"
+        )
 
     def test_serve_missing_library_errors(self, tmp_path):
         code = main(
@@ -216,17 +225,279 @@ class TestServe:
         )
         assert args.approx_budget == 5
 
-    def test_approx_budget_reaches_service(self, library_path, capsys):
-        import argparse
-
+    def test_approx_budget_reaches_service(
+        self, library_path, capsys, monkeypatch
+    ):
+        from repro import service as service_module
         from repro.cli import _cmd_serve
 
-        args = argparse.Namespace(
-            library=library_path, host="127.0.0.1", port=0, approx_budget=9
+        served = []
+
+        class CapturingService(service_module.RecommenderService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                served.append(self)
+
+        monkeypatch.setattr(
+            service_module, "RecommenderService", CapturingService
         )
-        code = _cmd_serve(args, block=False)
-        assert code == 0
-        assert "serving" in capsys.readouterr().out
+        args = _serve_args(
+            "--library", str(library_path), "--port", "0",
+            "--approx-budget", "9", "--history-window", "0",
+        )
+        assert _cmd_serve(args, block=False) == 0
+        (service,) = served
+        recommender = service.manager.snapshot().recommender
+        assert recommender.strategy("breadth_pruned").budget == 9
+
+
+def _every_serve_flag(tmp_path):
+    """A non-default value for every ``repro serve`` flag but ``--library``."""
+    return [
+        "--host", "localhost", "--port", "0",
+        "--cache-size", "7", "--approx-budget", "9",
+        "--no-tracing", "--no-exemplars", "--no-trace-detail",
+        "--slow-threshold", "0.2", "--slow-log-size", "5",
+        "--max-inflight", "3", "--max-queue", "4", "--queue-timeout", "0.25",
+        "--retry-after", "2", "--default-deadline-ms", "50",
+        "--drain-timeout", "3",
+        "--telemetry-dir", str(tmp_path / "telemetry"),
+        "--telemetry-sample-rate", "0.5",
+        "--history-interval", "2s", "--history-window", "1m",
+        "--slo-availability", "0.99", "--slo-latency-ms", "100",
+        "--slo-latency-target", "0.9",
+        "--quality-window", "64", "--score-threshold", "0.1",
+        "--drift-window", "32", "--drift-threshold", "0.5",
+        "--lock-sanitizer", "--fault-spec", "seed=7,storage:latency:1.0:1",
+        "--workers", "2", "--worker-restarts", "1",
+    ]
+
+
+#: ``repro serve`` destinations that configure the process, not the
+#: service: everything else reaches ``RecommenderService``.
+_PROCESS_FLAGS = {
+    "library", "host", "port",
+    "workers", "worker_restarts", "drain_timeout",
+    "fault_spec", "lock_sanitizer",
+}
+
+
+class TestServeWiring:
+    """One mapping from parsed flags to service keyword arguments feeds
+    the single process and every pool worker."""
+
+    def test_one_mapping_feeds_both_modes(
+        self, library_path, tmp_path, monkeypatch
+    ):
+        import inspect
+
+        import repro.resilience
+        import repro.utils.concurrency
+        from repro import service as service_module
+        from repro.cli import _cmd_serve
+        from repro.serving import workers
+
+        defaults = {
+            name: parameter.default
+            for name, parameter in inspect.signature(
+                service_module.RecommenderService.__init__
+            ).parameters.items()
+        }
+        # The process-level flags act on this process: stub them out.
+        monkeypatch.setattr(repro.resilience, "install_faults", lambda _: None)
+        monkeypatch.setattr(
+            repro.utils.concurrency, "enable_lock_sanitizer", lambda: None
+        )
+        captured = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture_worker_config(**fields):
+            captured["pool"] = fields["service_kwargs"]
+            raise Captured  # before any fork
+
+        monkeypatch.setattr(workers, "_WorkerConfig", capture_worker_config)
+        args = _serve_args(
+            "--library", str(library_path), *_every_serve_flag(tmp_path)
+        )
+        with pytest.raises(Captured):
+            _cmd_serve(args, block=False)
+
+        class FakeService:
+            port = 1
+
+            def __init__(self, model, *, host, port, **kwargs):
+                captured["single"] = kwargs
+
+            def start(self):
+                return self
+
+            def stop(self):
+                pass
+
+        monkeypatch.setattr(service_module, "RecommenderService", FakeService)
+        args.workers = 1
+        assert _cmd_serve(args, block=False) == 0
+        assert captured["single"] == captured["pool"]
+        # The argv above really moves every mapped setting off its default.
+        assert [
+            name for name, value in captured["single"].items()
+            if value == defaults[name]
+        ] == []
+
+    def test_every_serve_flag_is_mapped_or_process_level(self, library_path):
+        import argparse
+
+        from repro.cli import _build_parser, _service_kwargs
+
+        parser = _build_parser()
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        serve = commands.choices["serve"]
+        dests = {action.dest for action in serve._actions} - {"help"}
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        args = parser.parse_args(
+            ["serve", "--library", str(library_path)], namespace=Recording()
+        )
+        read.clear()
+        _service_kwargs(args)
+        assert _PROCESS_FLAGS <= dests
+        assert read == dests - _PROCESS_FLAGS
+
+
+#: Out-of-range ``repro serve`` values, each with the flag its error names.
+_BAD_SERVE_VALUES = [
+    (["--approx-budget", "0"], "--approx-budget"),
+    (["--cache-size", "-1"], "--cache-size"),
+    (["--max-inflight", "0"], "--max-inflight"),
+    (["--max-queue", "-1"], "--max-queue"),
+    (["--queue-timeout", "-1"], "--queue-timeout"),
+    (["--slow-log-size", "0"], "--slow-log-size"),
+    (["--slow-threshold", "-1"], "--slow-threshold"),
+    (["--drift-window", "0"], "--drift-window"),
+    (["--drift-threshold", "0"], "--drift-threshold"),
+    (["--quality-window", "0"], "--quality-window"),
+    (["--slo-availability", "2"], "--slo-availability"),
+    (["--slo-latency-ms", "0"], "--slo-latency-ms"),
+    (["--slo-latency-target", "0"], "--slo-latency-target"),
+    (["--telemetry-sample-rate", "2", "--telemetry-dir", "telemetry"],
+     "--telemetry-sample-rate"),
+    (["--history-interval", "10s", "--history-window", "5s"],
+     "--history-interval"),
+    (["--history-interval", "0"], "--history-interval"),
+    (["--workers", "0"], "--workers"),
+    (["--max-inflight", "many"], "--max-inflight"),
+]
+
+
+class TestServeBadValues:
+    """A bad value exits 2 with one ``error:`` line naming its flag, before
+    the library loads or a worker forks."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv, flag", _BAD_SERVE_VALUES,
+        ids=[" ".join(argv) for argv, _ in _BAD_SERVE_VALUES],
+    )
+    def test_exits_2_naming_the_flag(
+        self, library_path, capsys, monkeypatch, workers, argv, flag
+    ):
+        import repro.cli
+        from repro.serving import workers as pool
+
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("a bad value reached the serve start")
+
+        monkeypatch.setattr(
+            repro.cli.IncrementalGoalModel, "from_library", unreachable
+        )
+        monkeypatch.setattr(pool, "run_worker_pool", unreachable)
+        try:
+            code = main([
+                "serve", "--library", str(library_path), "--port", "0",
+                "--workers", workers, *argv,
+            ])
+        except SystemExit as exc:  # the parser's usage error
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0], err
+        assert "Traceback" not in err
+
+    def test_pool_mode_forks_no_worker(self, library_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import multiprocessing, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from repro.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[2:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(len(multiprocessing.active_children()))\n"
+            "sys.exit(code)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(src), "serve",
+             "--library", str(library_path), "--port", "0",
+             "--workers", "2", "--max-inflight", "0"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stdout.split() == ["0"]
+        assert "Traceback" not in result.stderr
+        assert "worker pool failed" not in result.stderr
+
+
+class TestReadyBanner:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_banner_lists_the_route_table(self, library_path, workers):
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.service import _ROUTES
+
+        env = {
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            "PATH": "/usr/bin:/bin",
+        }
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--library", str(library_path), "--port", "0",
+             "--workers", str(workers), "--history-window", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            banner = server.stdout.readline()
+        finally:
+            server.send_signal(signal.SIGTERM)
+            _, err = server.communicate(timeout=60)
+        pool = f"{workers} workers; " if workers > 1 else ""
+        endpoints = " ".join(route.endpoint for route in _ROUTES)
+        assert re.fullmatch(
+            r"serving 4 implementations on http://127\.0\.0\.1:\d+ "
+            + re.escape(f"({pool}endpoints: {endpoints})") + "\n",
+            banner,
+        ), (banner, err)
+        assert "/model/implementations" in banner
+        assert server.returncode == 0, err
 
 
 #: Imported by a serve start, it prints every ``repro`` module then loaded.

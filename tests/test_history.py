@@ -528,7 +528,7 @@ class TestHistoryDisabled:
         previous_registry = obs.set_registry(MetricsRegistry())
         model = AssociationGoalModel.from_pairs(PAIRS)
         server = RecommenderService(
-            model, port=0, history_enabled=False
+            model, port=0, history_window_seconds=0
         ).start()
         try:
             status, body, _ = call(server, "/debug/history")

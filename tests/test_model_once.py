@@ -93,7 +93,7 @@ def call(service, path, payload=None, method="POST"):
 
 class TestSingleProcess:
     def test_service_construction_builds_no_model(self, registry, model_inits):
-        service = RecommenderService(log_of(PAIRS), port=0, history_enabled=False)
+        service = RecommenderService(log_of(PAIRS), port=0, history_window_seconds=0)
         try:
             assert model_inits == []
             assert model_builds(registry) == 0
@@ -108,7 +108,7 @@ class TestSingleProcess:
 
     def test_put_and_delete_build_no_model(self, registry, model_inits):
         service = RecommenderService(
-            log_of(PAIRS), port=0, history_enabled=False
+            log_of(PAIRS), port=0, history_window_seconds=0
         ).start()
         try:
             status, body = call(service, "/model/implementations", {
@@ -205,7 +205,7 @@ class TestWorkerBootstrap:
             reuse_port=False,
             drain_timeout=5.0,
             parent_pid=os.getppid(),
-            service_kwargs={"history_enabled": False},
+            service_kwargs={"history_window_seconds": 0},
         )
         handlers = {
             sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)
@@ -264,7 +264,7 @@ def trims(monkeypatch):
 class TestOneTrimPerGenerationBuild:
     def test_start_up_put_and_delete(self, trims):
         calls, services = trims
-        service = RecommenderService(log_of(PAIRS), port=0, history_enabled=False)
+        service = RecommenderService(log_of(PAIRS), port=0, history_window_seconds=0)
         services.append(service)
         service.start()
         try:
@@ -292,7 +292,7 @@ class TestOneTrimPerGenerationBuild:
 
     def test_a_failed_delete_builds_and_trims_nothing(self, trims):
         calls, _ = trims
-        service = RecommenderService(log_of(PAIRS), port=0, history_enabled=False)
+        service = RecommenderService(log_of(PAIRS), port=0, history_window_seconds=0)
         try:
             with pytest.raises(ModelError, match="no live implementation"):
                 service.manager.remove_implementation(99)

@@ -142,16 +142,6 @@ class TestCsrRouting:
         assert csr._runner("breadth", chosen, {"x": 1}) is chosen
         assert csr._runner("breadth", chosen, {}) is not chosen
 
-    def test_with_model_copies_policy(self, figure1_model, recipe_model):
-        recommender = GoalRecommender(CachedModelView(figure1_model))
-        target = CachedModelView(recipe_model)
-        rebound = recommender.with_model(target)
-        assert rebound.use_csr is True
-        assert rebound.csr_engine() is target.csr_engine()
-        off = GoalRecommender(figure1_model, use_csr=False).with_model(target)
-        assert off.use_csr is False
-        assert off.csr_engine() is None
-
     def test_recommend_all_parity(self, figure1_model):
         scalar = GoalRecommender(figure1_model, use_csr=False)
         csr = GoalRecommender(CachedModelView(figure1_model))

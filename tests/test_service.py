@@ -361,3 +361,43 @@ class TestServingTiers:
         )
         assert status == 400
         assert body["error"] == "tier 'approx' requires strategy 'breadth'"
+
+    def test_approx_budget_survives_a_swap(self):
+        """Every generation's recommender pins the service's budget: after
+        a ``PUT``, ``tier=approx`` still answers the scalar
+        ``PrunedBreadthStrategy(budget=1)`` ranking, not the default's."""
+        from repro.core import AssociationGoalModel
+        from repro.core.approximate import PrunedBreadthStrategy
+
+        pairs = [("g1", {"a", "z", "c"}), ("g2", {"a", "z", "d"})]
+        added = ("g3", ["a", "z", "e"])
+        server = RecommenderService(
+            AssociationGoalModel.from_pairs(pairs), port=0, approx_budget=1,
+            history_window_seconds=0,
+        ).start()
+        try:
+            status, _ = call(server, "/model/implementations", {
+                "implementations": [{"goal": added[0], "actions": added[1]}],
+            }, method="PUT")
+            assert status == 200
+            status, body = call(
+                server, "/recommend?tier=approx", {"activity": ["z"], "k": 5}
+            )
+        finally:
+            server.stop()
+        assert status == 200 and body["strategy"] == "breadth_pruned"
+        swapped = AssociationGoalModel.from_pairs(
+            [*pairs, (added[0], set(added[1]))]
+        )
+        activity = swapped.encode_activity(["z"])
+        expected = [
+            {"action": swapped.action_label(aid), "score": score}
+            for aid, score in PrunedBreadthStrategy(budget=1).rank(
+                swapped, activity, 5
+            )
+        ]
+        # One posting entry per action: only "a" survives the cap, where
+        # the default budget would also rank "c", "d" and "e".
+        assert body["recommendations"] == expected == [
+            {"action": "a", "score": 3.0}
+        ]
